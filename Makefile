@@ -23,10 +23,11 @@ test-short:
 	$(GO) test -short ./...
 
 # Short race pass over everything, plus the full fast-forward
-# equivalence tests so the sim hot loop is race-checked end to end.
+# equivalence tests so the sim hot loop is race-checked end to end, and
+# the cold-vs-memo prewarm suite (its concurrent warm-up and replay).
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
+	$(GO) test -race -count=1 -run 'Golden|FastForward|PrewarmMemo' ./internal/sim/
 
 cover:
 	$(GO) test -cover ./internal/...

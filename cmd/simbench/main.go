@@ -279,6 +279,11 @@ func measure(c benchCase, iters int) (benchfmt.Benchmark, error) {
 	start := time.Now()
 	var cycles int64
 	for i := 0; i < iters; i++ {
+		// Every run warms its caches cold: without the reset, repeated
+		// runs of a case would restore the first run's warm state from
+		// the prewarm memo and the synth/* gate would stop timing the
+		// functional prewarm it has always covered.
+		sim.ResetPrewarmMemo()
 		mc, err := c.run()
 		if err != nil {
 			return benchfmt.Benchmark{}, fmt.Errorf("%s: %w", c.name, err)

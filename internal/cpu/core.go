@@ -98,6 +98,19 @@ type BatchSource interface {
 	NextBatch(buf []Instr) int
 }
 
+// WarmKeyer is an optional BatchSource extension that lets the
+// simulator reuse functionally warmed cache state across machines.
+// WarmKey returns a canonical description of the stream: two sources
+// with equal keys hand out identical item sequences, so a machine
+// warmed from one can be reproduced for the other by restoring the
+// warm caches and advancing the source by the number of items warming
+// consumed. It reports false once the source has handed out any item,
+// because a consumed source no longer starts at the stream's head.
+type WarmKeyer interface {
+	BatchSource
+	WarmKey() (string, bool)
+}
+
 // batchLen is the core's pull-buffer size: big enough to amortize the
 // per-call generator overhead, small enough to stay cache resident.
 const batchLen = 64

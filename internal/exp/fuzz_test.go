@@ -3,6 +3,10 @@ package exp
 import (
 	"bytes"
 	"testing"
+
+	"dramstacks/internal/addrmap"
+	"dramstacks/internal/dram"
+	"dramstacks/internal/memctrl"
 )
 
 // FuzzDecodeSpec drives arbitrary bytes through the strict spec decoder
@@ -13,7 +17,10 @@ import (
 //   - an accepted, valid spec has a canonical encoding, and that
 //     encoding is a fixed point (decode(canonical) re-canonicalizes to
 //     byte-identical output);
-//   - Hash is deterministic and survives the canonical round trip.
+//   - Hash is deterministic and survives the canonical round trip;
+//   - accepted means buildable: the machine configuration derives, the
+//     address map for it exists, and a controller builds on a device of
+//     its standard.
 func FuzzDecodeSpec(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -28,6 +35,10 @@ func FuzzDecodeSpec(f *testing.F) {
 		`"spec"`,
 		`{"workload":`,
 		"{\"workload\":\"seq\",\n\"cores\":3}",
+		`{"workload":"seq","channels":3}`,
+		`{"workload":"seq","standard":"hbm2-2000","channels":5}`,
+		`{"workload":"bfs","wq":1}`,
+		`{"workload":"bfs","wq":3,"standard":"lpddr5-6400","channels":4,"map":"xor"}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -68,6 +79,23 @@ func FuzzDecodeSpec(f *testing.F) {
 		h3, _ := again.Normalized().Hash()
 		if h3 != h1 {
 			t.Fatalf("hash changed across canonical round trip: %s vs %s", h1, h3)
+		}
+
+		_, cfg, err := norm.SimConfig()
+		if err != nil {
+			t.Fatalf("valid spec derives no machine configuration: %v", err)
+		}
+		mapper, err := addrmap.Select(cfg.Geom, cfg.SubChannels, cfg.Channels, cfg.Map.String())
+		if err != nil {
+			t.Fatalf("valid spec has no address map: %v", err)
+		}
+		ctrl := cfg.Ctrl
+		ctrl.SampleInterval = cfg.SampleInterval
+		if _, err := memctrl.New(dram.NewDevice(cfg.Geom, cfg.Tim), mapper, ctrl); err != nil {
+			t.Fatalf("valid spec builds no controller: %v", err)
+		}
+		if err := cfg.Hier.Validate(); err != nil {
+			t.Fatalf("valid spec has an unusable cache configuration: %v", err)
 		}
 	})
 }

@@ -228,7 +228,15 @@ func (s Spec) Validate() error {
 	if _, err := qos.Parse(s.QoS, s.Cores); err != nil {
 		return err
 	}
-	return nil
+	// Accepted means buildable: the derived machine configuration must
+	// pass the simulator's own admission check (address map, controller
+	// and cache configuration included), so no accepted spec can fail
+	// asynchronously at build time.
+	_, cfg, err := s.SimConfig()
+	if err != nil {
+		return err
+	}
+	return cfg.Validate()
 }
 
 // Canonical returns the deterministic canonical JSON encoding of the
@@ -349,6 +357,79 @@ type RunOptions struct {
 	OnSample func(s stacks.Sample)
 }
 
+// SimConfig derives the machine configuration a spec describes: the
+// DRAM standard and the complete sim.Config, prewarm quota included. It
+// is the single spec → configuration derivation — Validate checks its
+// output and RunSpec builds from it — and expects a normalized spec.
+// It builds nothing: no sources, graphs, devices or controllers.
+func (s Spec) SimConfig() (standard.Standard, sim.Config, error) {
+	std, err := standard.Lookup(s.Standard)
+	if err != nil {
+		return std, sim.Config{}, err
+	}
+	cfg := sim.DefaultFor(std, s.Cores)
+	cfg.Channels = s.Channels
+	switch s.Mapping {
+	case "int":
+		cfg.Map = sim.MapInterleaved
+	case "xor":
+		cfg.Map = sim.MapXOR
+	}
+	cfg.Ctrl.Policy = memctrl.OpenPage
+	if s.Policy == "closed" {
+		cfg.Ctrl.Policy = memctrl.ClosedPage
+	}
+	if s.QoS != "" {
+		if cfg.Ctrl.QoS, err = qos.Parse(s.QoS, s.Cores); err != nil {
+			return std, cfg, err
+		}
+	}
+	cfg.MaxMemCycles = s.Budget
+	if s.Budget == BudgetUnlimited {
+		cfg.MaxMemCycles = 0 // sim.Config: 0 = run to completion
+	}
+	cfg.SampleInterval = s.Sample
+	switch {
+	case isMixWorkload(s.Workload):
+	case isSynthWorkload(s.Workload), isStreamWorkload(s.Workload):
+		cfg.PrewarmOps = 1 << 20
+	default: // GAP kernel
+		if s.WriteQueue > 0 {
+			cfg.Ctrl.WriteQueueCap = s.WriteQueue
+			cfg.Ctrl.WriteHi = s.WriteQueue * 3 / 4
+			cfg.Ctrl.WriteLo = s.WriteQueue / 4
+		}
+	}
+	return std, cfg, nil
+}
+
+// Sources builds the per-core instruction streams a normalized spec
+// runs (for a GAP kernel this generates, or reuses, its graph).
+func (s Spec) Sources() ([]cpu.Source, error) {
+	switch {
+	case isMixWorkload(s.Workload):
+		return mixSources(s.Workload, s.Cores)
+	case s.Workload == "latcrit" || s.Workload == "bwhog":
+		return tenantSources(s.Workload, s.Cores, s.Stores), nil
+	case isSynthWorkload(s.Workload):
+		return sim.SyntheticSources(synthPattern(s.Workload), s.Cores, s.Stores), nil
+	case isStreamWorkload(s.Workload):
+		return workload.StreamSources(streamKind(s.Workload), s.Cores), nil
+	default: // GAP kernel
+		gs := DefaultGap(s.Workload, s.Cores)
+		gs.Scale = s.Scale
+		g, err := buildGraph(gs)
+		if err != nil {
+			return nil, err
+		}
+		runner, _, err := gap.Build(s.Workload, g, s.Cores)
+		if err != nil {
+			return nil, err
+		}
+		return runner.Sources(), nil
+	}
+}
+
 // RunSpec normalizes and validates the spec, assembles the machine and
 // runs it under ctx. Cancelling ctx stops the simulation promptly; the
 // partial result is returned with Cancelled set rather than an error.
@@ -360,73 +441,15 @@ func RunSpec(ctx context.Context, spec Spec, opt RunOptions) (*sim.Result, error
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-
-	budget := n.Budget
-	if budget == BudgetUnlimited {
-		budget = 0 // sim.Config: 0 = run to completion
-	}
-	std, err := standard.Lookup(n.Standard)
+	std, cfg, err := n.SimConfig()
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.DefaultFor(std, n.Cores)
-	cfg.Channels = n.Channels
-	switch n.Mapping {
-	case "int":
-		cfg.Map = sim.MapInterleaved
-	case "xor":
-		cfg.Map = sim.MapXOR
-	}
-	cfg.Ctrl.Policy = memctrl.OpenPage
-	if n.Policy == "closed" {
-		cfg.Ctrl.Policy = memctrl.ClosedPage
-	}
-	if n.QoS != "" {
-		q, err := qos.Parse(n.QoS, n.Cores)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Ctrl.QoS = q
-	}
-	cfg.MaxMemCycles = budget
-	cfg.SampleInterval = n.Sample
 	cfg.Trace = opt.Trace
-
-	var sources []cpu.Source
-	switch {
-	case isMixWorkload(n.Workload):
-		var err error
-		if sources, err = mixSources(n.Workload, n.Cores); err != nil {
-			return nil, err
-		}
-	case n.Workload == "latcrit" || n.Workload == "bwhog":
-		cfg.PrewarmOps = 1 << 20
-		sources = tenantSources(n.Workload, n.Cores, n.Stores)
-	case isSynthWorkload(n.Workload):
-		cfg.PrewarmOps = 1 << 20
-		sources = sim.SyntheticSources(synthPattern(n.Workload), n.Cores, n.Stores)
-	case isStreamWorkload(n.Workload):
-		cfg.PrewarmOps = 1 << 20
-		sources = workload.StreamSources(streamKind(n.Workload), n.Cores)
-	default: // GAP kernel
-		gs := DefaultGap(n.Workload, n.Cores)
-		gs.Scale = n.Scale
-		g, err := buildGraph(gs)
-		if err != nil {
-			return nil, err
-		}
-		runner, _, err := gap.Build(n.Workload, g, n.Cores)
-		if err != nil {
-			return nil, err
-		}
-		if n.WriteQueue > 0 {
-			cfg.Ctrl.WriteQueueCap = n.WriteQueue
-			cfg.Ctrl.WriteHi = n.WriteQueue * 3 / 4
-			cfg.Ctrl.WriteLo = n.WriteQueue / 4
-		}
-		sources = runner.Sources()
+	sources, err := n.Sources()
+	if err != nil {
+		return nil, err
 	}
-
 	opts := []sim.Option{sim.WithConfig(cfg), sim.WithSources(sources...)}
 	if opt.OnSample != nil {
 		opts = append(opts, sim.WithSampleFunc(opt.OnSample))

@@ -114,6 +114,11 @@ func TestSpecValidateRejects(t *testing.T) {
 		{Spec{Workload: "seq", Mapping: "zigzag"}, "unknown mapping"},
 		{Spec{Workload: "seq", Sample: -1}, "sample interval"},
 		{Spec{Workload: "bfs", Scale: 30}, "scale"},
+		// Shapes the field checks pass but the machine cannot be built
+		// from: Validate derives and checks the full configuration.
+		{Spec{Workload: "seq", Channels: 3}, "3 is not a positive power of two"},
+		{Spec{Workload: "seq", Standard: "hbm2-2000", Channels: 5}, "10 is not a positive power of two"},
+		{Spec{Workload: "bfs", WriteQueue: 1}, "watermark"},
 	}
 	for _, tc := range cases {
 		if _, err := tc.spec.Hash(); err == nil || !strings.Contains(err.Error(), tc.err) {

@@ -71,6 +71,12 @@ type Gauges struct {
 	QueueCap   int
 	CacheBytes int64
 	CacheItems int
+
+	// The simulator's process-wide prewarm memo (sim.PrewarmMemoStats):
+	// warm-ups served from it, warm-ups run and recorded, bytes held.
+	PrewarmMemoHits   int64
+	PrewarmMemoMisses int64
+	PrewarmMemoBytes  int64
 }
 
 // WritePrometheus renders the metrics in Prometheus text exposition
@@ -102,6 +108,10 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 	counter("dramstacksd_cache_misses_total", "Result-cache misses.", m.CacheMisses.Load())
 	gauge("dramstacksd_cache_bytes", "Bytes of result JSON held by the cache.", g.CacheBytes)
 	gauge("dramstacksd_cache_entries", "Entries held by the cache.", int64(g.CacheItems))
+
+	counter("dramstacksd_prewarm_memo_hits_total", "Machine builds whose cache prewarm was restored from the in-process memo.", g.PrewarmMemoHits)
+	counter("dramstacksd_prewarm_memo_misses_total", "Machine builds that ran a memoizable cache prewarm and recorded it.", g.PrewarmMemoMisses)
+	gauge("dramstacksd_prewarm_memo_bytes", "Bytes of warmed cache state held by the prewarm memo.", g.PrewarmMemoBytes)
 
 	gauge("dramstacksd_workers", "Size of the worker pool.", int64(g.Workers))
 	gauge("dramstacksd_workers_busy", "Workers currently running a job.", m.WorkersBusy.Load())

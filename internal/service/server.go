@@ -21,6 +21,7 @@ import (
 
 	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/exp"
+	"dramstacks/internal/sim"
 	"dramstacks/internal/stacks"
 )
 
@@ -490,6 +491,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		CacheBytes: s.cache.Bytes(),
 		CacheItems: s.cache.Len(),
 	}
+	g.PrewarmMemoHits, g.PrewarmMemoMisses, g.PrewarmMemoBytes = sim.PrewarmMemoStats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WritePrometheus(w, g)
 }

@@ -10,12 +10,14 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dramstacks/internal/exp"
+	"dramstacks/internal/sim"
 )
 
 // newTestServer starts a service with a quiet logger and small pool.
@@ -404,6 +406,11 @@ func TestBadRequests(t *testing.T) {
 		{`{"workload":"seq","cores":99}`, http.StatusBadRequest},
 		{`{"bogus_field":1}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
+		// Accepted field by field, but no machine builds from them: they
+		// must fail at admission, not asynchronously after a 202.
+		{`{"workload":"seq","channels":3}`, http.StatusBadRequest},
+		{`{"workload":"seq","standard":"hbm2-2000","channels":5}`, http.StatusBadRequest},
+		{`{"workload":"bfs","wq":1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if _, code := postJob(t, ts, tc.body); code != tc.want {
@@ -538,5 +545,72 @@ func TestCancelledResultNotServedFromCache(t *testing.T) {
 	req2, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+second.ID, nil)
 	if _, err := http.DefaultClient.Do(req2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scrapeMetrics fetches /metrics and parses the exposition format into
+// sample values and declared metric types.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) (values map[string]float64, types map[string]string) {
+	t.Helper()
+	body, code := getBody(t, ts, "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics status %d", code)
+	}
+	values, types = map[string]float64{}, map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			types[name] = typ
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, val, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed sample line %q", line)
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		values[name] = v
+	}
+	return values, types
+}
+
+// TestPrewarmMemoMetrics: a second job on the same workload with another
+// budget misses the result cache but reuses the first job's cache
+// prewarm, and /metrics shows the memo miss, the hit and the bytes held.
+func TestPrewarmMemoMetrics(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	const (
+		hits   = "dramstacksd_prewarm_memo_hits_total"
+		misses = "dramstacksd_prewarm_memo_misses_total"
+		held   = "dramstacksd_prewarm_memo_bytes"
+	)
+	before, types := scrapeMetrics(t, ts)
+	for name, want := range map[string]string{hits: "counter", misses: "counter", held: "gauge"} {
+		if types[name] != want {
+			t.Errorf("%s has type %q, want %q", name, types[name], want)
+		}
+	}
+	sim.ResetPrewarmMemo() // earlier tests may have warmed this workload
+	for i, cycles := range []int{3000, 4000} {
+		sub, code := postJob(t, ts, fmt.Sprintf(`{"workload":"strided","stores":0.25,"cycles":%d}`, cycles))
+		if code != http.StatusAccepted {
+			t.Fatalf("job %d: POST status %d", i, code)
+		}
+		waitState(t, ts, sub.ID, StateDone)
+	}
+	after, _ := scrapeMetrics(t, ts)
+	if d := after[misses] - before[misses]; d != 1 {
+		t.Errorf("%s rose by %g, want 1", misses, d)
+	}
+	if d := after[hits] - before[hits]; d != 1 {
+		t.Errorf("%s rose by %g, want 1", hits, d)
+	}
+	if after[held] <= 0 {
+		t.Errorf("%s = %g, want the retained warm state", held, after[held])
 	}
 }

@@ -20,27 +20,30 @@ const warmBatch = 64
 // quota, so every generated item is consumed before the quota check can
 // retire the source.
 type warmFeed struct {
-	src    cpu.Source
-	bs     cpu.BatchSource // nil: no batch fast path, use src.Next
-	items  []cpu.Instr
-	pos, n int
-	warmed int64 // memory operations warmed so far
-	quota  int64 // PrewarmOps
+	src      cpu.Source
+	bs       cpu.BatchSource // nil: no batch fast path, use src.Next
+	items    []cpu.Instr
+	pos, n   int
+	warmed   int64 // memory operations warmed so far
+	quota    int64 // PrewarmOps
+	consumed int64 // items taken from src (the memo replays this count)
 }
 
 func (f *warmFeed) next() (cpu.Instr, bool) {
-	if f.bs == nil {
-		return f.src.Next()
+	if f.bs == nil || f.pos >= f.n && f.warmed+warmBatch > f.quota {
+		ins, ok := f.src.Next()
+		if ok {
+			f.consumed++
+		}
+		return ins, ok
 	}
 	if f.pos >= f.n {
-		if f.warmed+warmBatch > f.quota {
-			return f.src.Next()
-		}
 		f.n = f.bs.NextBatch(f.items)
 		f.pos = 0
 		if f.n == 0 {
 			return cpu.Instr{}, false
 		}
+		f.consumed += int64(f.n)
 	}
 	ins := f.items[f.pos]
 	f.pos++
@@ -50,8 +53,9 @@ func (f *warmFeed) next() (cpu.Instr, bool) {
 // prewarm consumes the head of each stream functionally so the caches
 // start in steady state; the cores continue from where warming stopped.
 // Sources are drained round-robin so barrier-synchronized workloads
-// (package gap) make progress; stall items are skipped.
-func (s *System) prewarm(sources []cpu.Source) {
+// (package gap) make progress; stall items are skipped. It returns how
+// many items each source handed out.
+func (s *System) prewarm(sources []cpu.Source) []int64 {
 	feeds := make([]warmFeed, len(sources))
 	allBatch := len(sources) > 0
 	for i, src := range sources {
@@ -74,7 +78,7 @@ func (s *System) prewarm(sources []cpu.Source) {
 	// the serial loop and its zero recording overhead.
 	if allBatch && len(sources) > 1 && runtime.GOMAXPROCS(0) > 1 {
 		s.prewarmParallel(feeds)
-		return
+		return consumedBy(feeds)
 	}
 	exhausted := make([]bool, len(feeds))
 	active := len(feeds)
@@ -113,9 +117,19 @@ func (s *System) prewarm(sources []cpu.Source) {
 		if !progress {
 			// Every remaining source is stalled at a barrier that a
 			// finished source will never release: stop warming here.
-			return
+			break
 		}
 	}
+	return consumedBy(feeds)
+}
+
+// consumedBy returns how many items each feed took from its source.
+func consumedBy(feeds []warmFeed) []int64 {
+	out := make([]int64, len(feeds))
+	for i := range feeds {
+		out[i] = feeds[i].consumed
+	}
+	return out
 }
 
 // warmChunk is the number of items each core advances per parallel

@@ -54,6 +54,7 @@ func prewarmSources(wrap bool) []cpu.Source {
 // serial reference is forced by hiding the sources' batch interface.
 func TestPrewarmParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ResetPrewarmMemo() // the parallel run must warm, not restore
 
 	run := func(wrap bool) *Result {
 		cfg := Default(4)
@@ -89,6 +90,7 @@ func TestPrewarmParallelMatchesSerial(t *testing.T) {
 // only after the timed run consumes them, so it is checked before Run.
 func TestPrewarmQuotaExactWithBatching(t *testing.T) {
 	for _, quota := range []int64{1, 63, 64, 65, 129} {
+		ResetPrewarmMemo() // exercise the buffered feed, not a restore
 		srcs := []cpu.Source{workload.MustSynthetic(workload.SyntheticConfig{
 			Pattern:        workload.Sequential,
 			FootprintBytes: 1 << 20,

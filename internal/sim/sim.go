@@ -140,34 +140,71 @@ func DefaultFor(std standard.Standard, cores int) Config {
 	return cfg
 }
 
-// Validate reports a descriptive error for unusable configurations.
+// Validate reports a descriptive error for unusable configurations. It
+// is the complete admission check: a Config it accepts builds — the
+// address mapper derives, and the controller and cache configurations
+// pass their own checks, as do the DRAM geometry and timing — so New
+// can fail only on its sources. It builds no devices and runs no
+// prewarm.
 func (c Config) Validate() error {
+	_, err := c.validate()
+	return err
+}
+
+// validate is Validate returning the address mapper it derived, which
+// newSystem builds the machine around.
+func (c Config) validate() (addrmap.Mapper, error) {
 	if c.Cores <= 0 {
-		return fmt.Errorf("sim: cores must be positive, got %d", c.Cores)
+		return nil, fmt.Errorf("sim: cores must be positive, got %d", c.Cores)
 	}
 	if c.CPUMult <= 0 {
-		return fmt.Errorf("sim: CPU multiplier must be positive, got %d", c.CPUMult)
+		return nil, fmt.Errorf("sim: CPU multiplier must be positive, got %d", c.CPUMult)
 	}
 	if c.Hier.Cores != c.Cores {
-		return fmt.Errorf("sim: hierarchy configured for %d cores, system has %d", c.Hier.Cores, c.Cores)
+		return nil, fmt.Errorf("sim: hierarchy configured for %d cores, system has %d", c.Hier.Cores, c.Cores)
 	}
 	if c.Channels < 0 || c.Channels > 8 {
-		return fmt.Errorf("sim: channels must be in 0..8, got %d", c.Channels)
+		return nil, fmt.Errorf("sim: channels must be in 0..8, got %d", c.Channels)
 	}
 	if c.SubChannels < 0 || c.SubChannels > 4 {
-		return fmt.Errorf("sim: sub-channels must be in 0..4, got %d", c.SubChannels)
+		return nil, fmt.Errorf("sim: sub-channels must be in 0..4, got %d", c.SubChannels)
 	}
 	if d := c.devices(); d > 16 {
-		return fmt.Errorf("sim: channels x sub-channels must be at most 16 devices, got %d", d)
+		return nil, fmt.Errorf("sim: channels x sub-channels must be at most 16 devices, got %d", d)
 	}
 	if c.MaxMemCycles < 0 || c.WarmupMemCycles < 0 {
-		return fmt.Errorf("sim: negative cycle budget")
+		return nil, fmt.Errorf("sim: negative cycle budget")
 	}
 	if c.MaxMemCycles > 0 && c.WarmupMemCycles >= c.MaxMemCycles {
-		return fmt.Errorf("sim: warmup %d must be below the cycle budget %d",
+		return nil, fmt.Errorf("sim: warmup %d must be below the cycle budget %d",
 			c.WarmupMemCycles, c.MaxMemCycles)
 	}
-	return c.Core.Validate()
+	if err := c.Core.Validate(); err != nil {
+		return nil, err
+	}
+	if err := c.Hier.Validate(); err != nil {
+		return nil, err
+	}
+	if err := c.ctrlConfig().Validate(); err != nil {
+		return nil, err
+	}
+	if err := c.Geom.Validate(); err != nil {
+		return nil, err
+	}
+	if err := c.Tim.Validate(); err != nil {
+		return nil, err
+	}
+	return addrmap.Select(c.Geom, c.SubChannels, c.Channels, c.Map.String())
+}
+
+// ctrlConfig is the configuration every channel's controller gets.
+func (c Config) ctrlConfig() memctrl.Config {
+	cc := c.Ctrl
+	cc.SampleInterval = c.SampleInterval
+	// The simulator never retains a *Request past its completion
+	// callback, so the controllers recycle request objects.
+	cc.Recycle = true
+	return cc
 }
 
 // devices returns the number of independently timed memory devices the
@@ -261,7 +298,8 @@ func NewFromConfig(cfg Config, sources []cpu.Source) (*System, error) {
 
 // newSystem assembles a system; New and NewFromConfig front it.
 func newSystem(cfg Config, sources []cpu.Source) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+	mapper, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	if len(sources) != cfg.Cores {
@@ -269,14 +307,6 @@ func newSystem(cfg Config, sources []cpu.Source) (*System, error) {
 	}
 
 	channels := cfg.devices()
-	sub := cfg.SubChannels
-	if sub == 0 {
-		sub = 1
-	}
-	mapper, err := addrmap.Select(cfg.Geom, sub, cfg.Channels, cfg.Map.String())
-	if err != nil {
-		return nil, err
-	}
 
 	s := &System{cfg: cfg, channels: channels, mapper: mapper}
 	for ch := 0; ch < channels; ch++ {
@@ -299,12 +329,7 @@ func newSystem(cfg Config, sources []cpu.Source) (*System, error) {
 				}
 			}
 		}
-		ctrlCfg := cfg.Ctrl
-		ctrlCfg.SampleInterval = cfg.SampleInterval
-		// The simulator never retains a *Request past its completion
-		// callback, so the controllers recycle request objects.
-		ctrlCfg.Recycle = true
-		ctrl, err := memctrl.New(dev, mapper, ctrlCfg)
+		ctrl, err := memctrl.New(dev, mapper, cfg.ctrlConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +365,9 @@ func newSystem(cfg Config, sources []cpu.Source) (*System, error) {
 		s.cores = append(s.cores, cpu.New(i, cfg.Core, s.hier, sources[i]))
 	}
 	if cfg.PrewarmOps > 0 {
-		s.prewarm(sources)
+		if err := s.warmStart(sources); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }

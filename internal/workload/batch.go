@@ -1,6 +1,10 @@
 package workload
 
-import "dramstacks/internal/cpu"
+import (
+	"fmt"
+
+	"dramstacks/internal/cpu"
+)
 
 // FillBatch lifts any pure cpu.Source into the cpu.BatchSource contract
 // by looping its Next: buf is filled until it is full or the stream
@@ -23,7 +27,29 @@ var (
 	_ cpu.BatchSource = (*Slice)(nil)
 	_ cpu.BatchSource = (*Player)(nil)
 	_ cpu.BatchSource = (*Stream)(nil)
+
+	_ cpu.WarmKeyer = (*Synthetic)(nil)
+	_ cpu.WarmKeyer = (*Stream)(nil)
 )
+
+// WarmKey implements cpu.WarmKeyer: a synthetic stream is a function of
+// its (normalized) configuration and consumption count alone. The Go
+// syntax representation names the type and prints every field,
+// floats included, exactly.
+func (s *Synthetic) WarmKey() (string, bool) {
+	if s.emitted != 0 || s.sinceBr != 0 {
+		return "", false
+	}
+	return fmt.Sprintf("%#v", s.cfg), true
+}
+
+// WarmKey implements cpu.WarmKeyer, like Synthetic's.
+func (s *Stream) WarmKey() (string, bool) {
+	if s.emitted != 0 || s.phase != 0 {
+		return "", false
+	}
+	return fmt.Sprintf("%#v", s.cfg), true
+}
 
 // NextBatch implements cpu.BatchSource natively: it produces exactly
 // the sequence repeated Next calls would (same RNG draw order, same
