@@ -23,11 +23,13 @@ test-short:
 	$(GO) test -short ./...
 
 # Short race pass over everything, plus the full fast-forward
-# equivalence tests so the sim hot loop is race-checked end to end, and
-# the cold-vs-memo prewarm suite (its concurrent warm-up and replay).
+# equivalence tests so the sim hot loop is race-checked end to end, the
+# sample-interval invariance suite (boundaries fire from the event
+# wheel), and the cold-vs-memo prewarm suite (its concurrent warm-up and
+# replay).
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=1 -run 'Golden|FastForward|PrewarmMemo' ./internal/sim/
+	$(GO) test -race -count=1 -run 'Golden|FastForward|PrewarmMemo|SampleInterval' ./internal/sim/
 
 cover:
 	$(GO) test -cover ./internal/...
@@ -42,9 +44,9 @@ bench-ablations:
 
 # Reproducible harness (cmd/simbench): regenerates the committed
 # baseline the CI perf gate compares against. See doc/PERF.md for the
-# update policy before committing a new BENCH_9.json. (BENCH_3.json and
-# BENCH_7.json are kept as historical baselines: pre-event-wheel and
-# pre-batching respectively.)
+# update policy before committing a new BENCH_9.json. The historical
+# baselines are in git history: BENCH_3.json (pre-event-wheel) in commit
+# e85e0a3 and BENCH_7.json (pre-batching) in commit 1eea3bb.
 bench:
 	$(GO) run ./cmd/simbench -count 3 -benchtime 1x -out BENCH_9.json
 

@@ -12,6 +12,7 @@ import (
 	"dramstacks/internal/cache"
 	"dramstacks/internal/cpu"
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/memctrl"
 	"dramstacks/internal/prefetch"
 	"dramstacks/internal/sim"
@@ -23,7 +24,7 @@ func runCfg(b *testing.B, cfg sim.Config, pat workload.Pattern, stores float64) 
 	b.Helper()
 	var res *sim.Result
 	for i := 0; i < b.N; i++ {
-		sys, err := sim.NewFromConfig(cfg, sim.SyntheticSources(pat, cfg.Cores, stores))
+		sys, err := sim.New(standard.Default(), sim.WithConfig(cfg), sim.WithSources(sim.SyntheticSources(pat, cfg.Cores, stores)...))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func BenchmarkAblation_ConstraintScope(b *testing.B) {
 			name = "flat"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := sim.Default(1)
+			cfg := sim.DefaultFor(standard.Default(), 1)
 			cfg.Ctrl.FlatConstraints = flat
 			cfg.MaxMemCycles = benchSynthBudget
 			cfg.PrewarmOps = 1 << 20
@@ -65,7 +66,7 @@ func BenchmarkAblation_ConstraintScope(b *testing.B) {
 func BenchmarkAblation_ClosedKeepOpen(b *testing.B) {
 	for _, keep := range []int{1, 3, 5, 8} {
 		b.Run(fmt.Sprintf("keep%d", keep), func(b *testing.B) {
-			cfg := sim.Default(2)
+			cfg := sim.DefaultFor(standard.Default(), 2)
 			cfg.Ctrl.Policy = memctrl.ClosedPage
 			cfg.Ctrl.ClosedKeepOpen = keep
 			cfg.MaxMemCycles = benchSynthBudget
@@ -83,7 +84,7 @@ func BenchmarkAblation_ClosedKeepOpen(b *testing.B) {
 func BenchmarkAblation_PrefetchDepth(b *testing.B) {
 	for _, depth := range []int{0, 8, 20, 32} {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
-			cfg := sim.Default(2)
+			cfg := sim.DefaultFor(standard.Default(), 2)
 			cfg.Hier.Prefetch = prefetch.Config{Streams: 16, Depth: depth, Degree: 2}
 			cfg.MaxMemCycles = benchSynthBudget
 			cfg.PrewarmOps = 1 << 20
@@ -105,7 +106,7 @@ func BenchmarkAblation_DualRank(b *testing.B) {
 	for _, name := range []string{"1rank", "2rank"} {
 		b.Run(name, func(b *testing.B) {
 			geo, tim := ranks[name]()
-			cfg := sim.Default(8)
+			cfg := sim.DefaultFor(standard.Default(), 8)
 			cfg.Geom = geo
 			cfg.Tim = tim
 			cfg.MaxMemCycles = benchSynthBudget
@@ -125,7 +126,7 @@ func BenchmarkAblation_DualRank(b *testing.B) {
 func BenchmarkAblation_Channels(b *testing.B) {
 	for _, ch := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("%dch", ch), func(b *testing.B) {
-			cfg := sim.Default(8)
+			cfg := sim.DefaultFor(standard.Default(), 8)
 			cfg.Channels = ch
 			cfg.MaxMemCycles = benchSynthBudget
 			cfg.PrewarmOps = 1 << 20
@@ -146,7 +147,7 @@ func BenchmarkAblation_LLCSize(b *testing.B) {
 			if mb == 11 {
 				ways = 11 // keep the set count a power of two
 			}
-			cfg := sim.Default(4)
+			cfg := sim.DefaultFor(standard.Default(), 4)
 			cfg.Hier.LLC = cache.Config{
 				Name: "LLC", SizeBytes: mb << 20, Ways: ways, LineBytes: 64, Latency: 44,
 			}
@@ -171,7 +172,7 @@ func BenchmarkAblation_SpeedGrade(b *testing.B) {
 	for _, name := range []string{"ddr4-2400", "ddr4-3200"} {
 		b.Run(name, func(b *testing.B) {
 			geo, tim := grades[name]()
-			cfg := sim.Default(8)
+			cfg := sim.DefaultFor(standard.Default(), 8)
 			cfg.Geom = geo
 			cfg.Tim = tim
 			cfg.MaxMemCycles = benchSynthBudget
@@ -192,7 +193,7 @@ func BenchmarkAblation_SpeedGrade(b *testing.B) {
 func BenchmarkAblation_Scheduler(b *testing.B) {
 	for _, sched := range []memctrl.Scheduler{memctrl.FRFCFS, memctrl.FCFS} {
 		b.Run(sched.String(), func(b *testing.B) {
-			cfg := sim.Default(1)
+			cfg := sim.DefaultFor(standard.Default(), 1)
 			cfg.Ctrl.Sched = sched
 			cfg.MaxMemCycles = benchSynthBudget
 			cfg.PrewarmOps = 1 << 20
@@ -215,7 +216,7 @@ func BenchmarkAblation_CoreModel(b *testing.B) {
 	}
 	for _, name := range []string{"ooo-4w-224rob", "inorder-2w"} {
 		b.Run(name, func(b *testing.B) {
-			cfg := sim.Default(4)
+			cfg := sim.DefaultFor(standard.Default(), 4)
 			cfg.Core = cores[name]
 			cfg.MaxMemCycles = benchSynthBudget
 			cfg.PrewarmOps = 1 << 19
@@ -232,7 +233,7 @@ func BenchmarkAblation_CoreModel(b *testing.B) {
 func BenchmarkAblation_StridedPattern(b *testing.B) {
 	for _, pat := range []workload.Pattern{workload.Sequential, workload.Strided, workload.Random} {
 		b.Run(pat.String(), func(b *testing.B) {
-			cfg := sim.Default(2)
+			cfg := sim.DefaultFor(standard.Default(), 2)
 			cfg.MaxMemCycles = benchSynthBudget
 			cfg.PrewarmOps = 1 << 19
 			res := runCfg(b, cfg, pat, 0)
@@ -255,7 +256,7 @@ func BenchmarkAblation_DDR5(b *testing.B) {
 		for _, name := range []string{"ddr4-2400", "ddr5-4800"} {
 			b.Run(fmt.Sprintf("%s-%s", pat, name), func(b *testing.B) {
 				geo, tim := gens[name]()
-				cfg := sim.Default(8)
+				cfg := sim.DefaultFor(standard.Default(), 8)
 				cfg.Geom = geo
 				cfg.Tim = tim
 				cfg.CPUMult = 2 // 2.4 GHz DRAM clock: narrower CPU ratio
@@ -280,10 +281,10 @@ func BenchmarkStream(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			var res *sim.Result
 			for i := 0; i < b.N; i++ {
-				cfg := sim.Default(4)
+				cfg := sim.DefaultFor(standard.Default(), 4)
 				cfg.MaxMemCycles = benchSynthBudget
 				cfg.PrewarmOps = 1 << 19
-				sys, err := sim.NewFromConfig(cfg, workload.StreamSources(kind, 4))
+				sys, err := sim.New(standard.Default(), sim.WithConfig(cfg), sim.WithSources(workload.StreamSources(kind, 4)...))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -320,7 +321,7 @@ func BenchmarkAblation_RefreshGranularity(b *testing.B) {
 			geo, tim := dram.DDR4_2400()
 			tim.REFI /= m.div
 			tim.RFC = int(float64(tim.RFC) * m.rfc)
-			cfg := sim.Default(4)
+			cfg := sim.DefaultFor(standard.Default(), 4)
 			cfg.Geom = geo
 			cfg.Tim = tim
 			cfg.MaxMemCycles = benchSynthBudget
@@ -341,7 +342,7 @@ func BenchmarkAblation_RefreshGranularity(b *testing.B) {
 func BenchmarkAblation_XORMapping(b *testing.B) {
 	for _, m := range []sim.Mapping{sim.MapDefault, sim.MapInterleaved, sim.MapXOR} {
 		b.Run(m.String(), func(b *testing.B) {
-			cfg := sim.Default(1)
+			cfg := sim.DefaultFor(standard.Default(), 1)
 			cfg.Map = m
 			cfg.MaxMemCycles = benchSynthBudget
 			cfg.PrewarmOps = 1 << 20

@@ -104,8 +104,9 @@ func runSynth(spec exp.SynthSpec) (int64, error) {
 // runMixed simulates a heterogeneous multicore: half the cores run a
 // compute-heavy stream, half a branchy mispredicting one, and all of
 // them touch a DRAM-sized footprint so the channel sees real traffic.
-// The per-core event scheduling has to juggle cores whose next events
-// land on different cycles — the adversarial case for the sprint loop.
+// The event loop has to juggle cores whose next events land on
+// different cycles — the adversarial case for ticking cores only when
+// they are due.
 func runMixed(cores int, budget int64) (int64, error) {
 	var sources []cpu.Source
 	for i := 0; i < cores; i++ {
@@ -218,7 +219,7 @@ func cases() []benchCase {
 		}},
 		// Mixed compute + branch multicore with DRAM traffic: cores with
 		// unaligned next-event cycles, the adversarial case for the
-		// per-core sprint scheduling.
+		// event loop's per-core scheduling.
 		{"mixed/compute-branch-4c", true, func() (int64, error) {
 			return runMixed(4, 100_000)
 		}},

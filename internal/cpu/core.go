@@ -18,14 +18,15 @@
 // The hot loop is allocation-free in steady state: load tickets are
 // reference-counted and pooled, and memory completions arrive through
 // the cache.Waiter interface (a pooled ticket is its own completion
-// waiter) instead of per-access closures. Three provably repetitive
+// waiter) instead of per-access closures. Five provably repetitive
 // states let the system replay stretches of cycles in closed form
 // instead of ticking them: a finished core (idle), an empty core inside
-// a branch-misprediction bubble (branch), and a core dispatching a pure
-// ALU run (base) — see NextEventCycle/FastForward. A core stalled on an
-// in-flight DRAM load can additionally go to sleep entirely and have
-// its stall cycles replayed when the completion wakes it — see
-// TrySleep/MemDone.
+// a branch-misprediction bubble (branch), a window around a single load
+// with a known completion, a core dispatching a pure ALU run (base), and
+// a core stalled on an in-flight DRAM load with nothing else to do
+// (dram) — see NextEventCycle/FastForward. The last one lasts until a
+// memory completion arrives, so the core reports every completion to
+// its wake hook before the completion changes any state (see SetWake).
 package cpu
 
 import (
@@ -170,13 +171,12 @@ type ticket struct {
 }
 
 // MemDone implements cache.Waiter: the DRAM fill for this load is
-// complete. It also wakes the owning core if the core slept through the
-// stall (see TrySleep).
+// complete. The owning core's wake hook runs first (see SetWake).
 func (tk *ticket) MemDone(doneCPU int64, queueFrac, regFrac float64) {
+	tk.c.wake()
 	tk.done = doneCPU
 	tk.queueFrac = queueFrac
 	tk.regFrac = regFrac
-	tk.c.wake(doneCPU)
 }
 
 type robItem struct {
@@ -242,16 +242,7 @@ type Core struct {
 
 	tkFree []*ticket // ticket pool
 
-	// DRAM-stall sleep state: while asleep, the system stops ticking
-	// the core and the first CPU cycle not yet simulated is sleepFrom.
-	// A memory completion only marks the core wakePending — the skipped
-	// stall cycles are replayed in closed form when the system resumes
-	// the core at the next CPU cycle it would tick (Resume), because
-	// completions fire mid-memory-cycle, before the sleeping core's
-	// remaining subcycles of that same memory cycle.
-	asleep      bool
-	wakePending bool
-	sleepFrom   int64
+	onWake func(id int) // see SetWake
 
 	stats Stats
 }
@@ -274,6 +265,20 @@ func New(id int, cfg Config, mem Mem, src Source) *Core {
 		c.batch = make([]Instr, batchLen)
 	}
 	return c
+}
+
+// SetWake installs fn as the core's wake hook: it runs at the start of
+// every memory completion for the core (a load fill or a store's
+// read-for-ownership), before the completion changes any core state.
+// A system that ticks the core only at its NextEventCycle events uses
+// it to replay the cycles the core owes under the state that proved
+// them, and to make the core due again.
+func (c *Core) SetWake(fn func(id int)) { c.onWake = fn }
+
+func (c *Core) wake() {
+	if c.onWake != nil {
+		c.onWake(c.id)
+	}
 }
 
 // Stats returns the core's counters.
@@ -353,7 +358,7 @@ func (c *Core) unref(tk *ticket) {
 //
 // A core whose ROB holds a load is handled by windowLen instead.
 func (c *Core) streakLen(now int64) int64 {
-	if c.asleep || c.items == 0 || c.loads != 0 || len(c.startQ) != 0 ||
+	if c.items == 0 || c.loads != 0 || len(c.startQ) != 0 ||
 		c.pendingWork < c.cfg.Width || c.fetchBlockedUntil > now ||
 		c.occ < c.cfg.Width || c.robFree() < c.cfg.Width {
 		return 0
@@ -375,26 +380,22 @@ func (c *Core) streakLen(now int64) int64 {
 //     cycle: the window may run through the load's retirement and ends
 //     when the source would be consulted (or a push would be partial),
 //     min(pendingWork, robFree)/Width cycles out;
-//   - a fetch bubble or provably inert dispatch (full ROB with work
-//     buffered, or an exhausted source) — no pushes: the window must
-//     end by the load's completion, before retirement would change
-//     what dispatch sees.
+//   - a fetch bubble or provably inert dispatch (an exhausted source, or
+//     work buffered behind a full ROB headed by the load itself, so
+//     nothing retires to make room) — no pushes: the window must end by
+//     the load's completion, before retirement would change what
+//     dispatch sees.
 //
 // An empty start queue (kept empty by ALU-only dispatch) means no
 // memory access can begin, so no external state is touched.
 func (c *Core) windowLen(now int64) int64 {
-	if c.asleep || c.loads != 1 || len(c.startQ) != 0 {
+	if c.loads != 1 || len(c.startQ) != 0 {
 		return 0
 	}
-	idx := c.head
-	a := 0
-	for c.rob[idx].kind != KindLoad {
-		a += c.rob[idx].count
-		idx = (idx + 1) % len(c.rob)
-	}
-	tk := c.rob[idx].tk
+	// The ROB's only load is the youngest one dispatched.
+	tk := c.depTicket(1)
 	if !tk.started || tk.done < 0 {
-		return 0 // completion unknown: sleep handles in-flight DRAM
+		return 0 // completion unknown: see dramStalled
 	}
 	w := c.cfg.Width
 	switch {
@@ -405,12 +406,13 @@ func (c *Core) windowLen(now int64) int64 {
 		}
 		return k
 	case c.pendingWork >= w && c.robFree() >= w:
-		if a < w && tk.done <= now && c.occ-1 < w {
+		if tk.done <= now && c.occ-1 < w {
 			// The load retires on the window's first cycle (jR = 0) with
-			// fewer than Width uops in the ROB: the first cycle's retire
-			// budget would outrun the ROB content (this cycle's dispatch
-			// is not retirable yet), which the closed form does not
-			// model. Take a real cycle.
+			// fewer than Width other uops in the ROB, so fewer than Width
+			// ahead of it: the first cycle's retire budget would outrun
+			// the ROB content (this cycle's dispatch is not retirable
+			// yet), which the closed form does not model. Take a real
+			// cycle.
 			return 0
 		}
 		avail := c.pendingWork
@@ -418,24 +420,64 @@ func (c *Core) windowLen(now int64) int64 {
 			avail = f
 		}
 		return int64(avail / w)
-	case c.robFree() == 0 && (c.pendingWork > 0 || c.pendingOp != nil || c.srcDone):
-		return tk.done - now
-	case c.srcDone && c.pendingWork == 0 && c.pendingOp == nil:
+	case c.rob[c.head].kind == KindLoad && c.robFree() == 0 && (c.pendingWork > 0 || c.pendingOp != nil), c.srcDone:
 		return tk.done - now
 	default:
 		return 0 // dispatch would consult the source or dispatch an op
 	}
 }
 
+// inFlightHead returns the ticket of the head-of-ROB load while its DRAM
+// fill is in flight (started, completion not yet delivered), or nil.
+func (c *Core) inFlightHead() *ticket {
+	if c.items == 0 || c.rob[c.head].kind != KindLoad {
+		return nil
+	}
+	if tk := c.rob[c.head].tk; tk.started && tk.done < 0 {
+		return tk
+	}
+	return nil
+}
+
+// dramStalled reports whether every cycle from now on repeats a pure
+// DRAM stall until a memory completion for this core arrives: the
+// head-of-ROB load is in flight, retirement is blocked behind it,
+// dispatch is inert whether or not a fetch bubble is running (the ROB is
+// full with work buffered, or the source is exhausted with nothing
+// buffered), and every queued memory operation waits on an address
+// dependency that is itself in flight. Each such cycle is "stall++,
+// total++" on the head load.
+func (c *Core) dramStalled() bool {
+	if c.inFlightHead() == nil {
+		return false
+	}
+	if c.pendingWork > 0 || c.pendingOp != nil {
+		if c.robFree() != 0 {
+			return false // dispatch would push buffered work
+		}
+	} else if !c.srcDone {
+		return false // dispatch would consult the source
+	}
+	for i := range c.startQ {
+		if dep := c.startQ[i].dep; dep == nil || dep.done >= 0 {
+			return false // could start (or become startable) on its own
+		}
+	}
+	return true
+}
+
 // NextEventCycle returns the first CPU cycle at or after now at which
 // the core might do anything other than repeat its current steady-state
 // cycle, assuming no external event (memory completion) arrives in
-// between. Four states are provably repetitive:
+// between. Five states are provably repetitive:
 //
 //   - a finished core (Done) idles forever: math.MaxInt64;
 //   - an empty core inside a branch-misprediction fetch bubble with no
 //     memory operations outstanding repeats a pure branch-penalty cycle
 //     until the bubble ends: fetchBlockedUntil;
+//   - a core stalled on an in-flight head-of-ROB DRAM load with inert
+//     dispatch (see dramStalled) repeats the stall until a completion
+//     arrives, which only the memory side knows: math.MaxInt64;
 //   - a core whose ROB holds exactly one load with a known completion
 //     replays the whole drain/stall/retire window around it (see
 //     windowLen): now + windowLen;
@@ -448,9 +490,6 @@ func (c *Core) windowLen(now int64) int64 {
 // time this side does not know. FastForward may only cover cycles
 // strictly before the returned cycle.
 func (c *Core) NextEventCycle(now int64) int64 {
-	if c.asleep {
-		return now
-	}
 	if c.Done() {
 		return math.MaxInt64
 	}
@@ -458,6 +497,9 @@ func (c *Core) NextEventCycle(now int64) int64 {
 		c.pendingWork == 0 && c.pendingOp == nil && !c.srcDone &&
 		c.fetchBlockedUntil > now {
 		return c.fetchBlockedUntil
+	}
+	if c.dramStalled() {
+		return math.MaxInt64
 	}
 	if c.loads == 1 {
 		if k := c.windowLen(now); k > 0 {
@@ -474,22 +516,23 @@ func (c *Core) NextEventCycle(now int64) int64 {
 // FastForward charges the n CPU cycles starting at from in closed form,
 // bit-identical to n CPUCycle calls in the steady state NextEventCycle
 // proved: idle cycles for a finished core, branch cycles inside a fetch
-// bubble, a replayed single-load window, or a replayed ALU dispatch
-// streak.
+// bubble, DRAM stall cycles behind an in-flight head load (their split
+// into latency and queueing happens when the load retires), a replayed
+// single-load window, or a replayed ALU dispatch streak.
 func (c *Core) FastForward(from, n int64) {
-	if c.Done() {
+	switch {
+	case c.Done():
 		c.acct.AddCycles(cyclestack.Idle, n)
-		return
-	}
-	if c.items == 0 {
+	case c.items == 0:
 		c.acct.AddCycles(cyclestack.Branch, n)
-		return
-	}
-	if c.loads == 1 {
+	case c.inFlightHead() != nil:
+		c.rob[c.head].tk.stall += n
+		c.acct.AddTotal(n)
+	case c.loads == 1:
 		c.replayWindow(from, n)
-		return
+	default:
+		c.replayStreak(from, n)
 	}
-	c.replayStreak(from, n)
 }
 
 // consume retires k plain uops FIFO from the ROB head, the ring-level
@@ -572,8 +615,7 @@ func (c *Core) replayWindow(from, n int64) {
 			panic("cpu: window replay outruns the buffered work")
 		}
 	default:
-		inert := (c.robFree() == 0 && (c.pendingWork > 0 || c.pendingOp != nil || c.srcDone)) ||
-			(c.srcDone && c.pendingWork == 0 && c.pendingOp == nil)
+		inert := a == 0 && c.robFree() == 0 && (c.pendingWork > 0 || c.pendingOp != nil) || c.srcDone
 		if !inert || tk.done < from+n {
 			panic("cpu: FastForward outside a provable steady state")
 		}
@@ -779,8 +821,8 @@ func (c *Core) startAccesses(now int64) {
 // MemDone implements cache.Waiter for store read-for-ownerships: the
 // line arrived, the store's writeback obligation is met.
 func (c *Core) MemDone(doneCPU int64, queueFrac, regFrac float64) {
+	c.wake()
 	c.outStores--
-	c.wake(doneCPU)
 }
 
 // addDramStall charges a DRAM load's head-of-ROB stall to the cycle
@@ -1007,90 +1049,4 @@ func (c *Core) classify(now int64, retired int) {
 		}
 		c.acct.AddCycle(cyclestack.Base)
 	}
-}
-
-// TrySleep puts the core to sleep after it simulated CPU cycle now, if
-// this cycle was a DRAM stall that provably repeats until a memory
-// completion arrives: the head-of-ROB load is in flight (started, no
-// completion yet), dispatch is inert on its own (the ROB is full with
-// buffered work, or the source is exhausted with nothing buffered) and
-// not inside a fetch bubble that would end by itself, and every queued
-// memory operation waits on an address dependency that is itself in
-// flight. Under those conditions every subsequent cycle repeats exactly
-// "stall++, total++" until some completion for this core fires, so the
-// system can stop ticking the core and wake replays the skipped cycles
-// in closed form. Reports whether the core went to sleep.
-func (c *Core) TrySleep(now int64) bool {
-	if c.asleep || c.items == 0 || c.fetchBlockedUntil > now+1 {
-		return false
-	}
-	head := &c.rob[c.head]
-	if head.kind != KindLoad {
-		return false
-	}
-	tk := head.tk
-	if !tk.started || tk.done >= 0 || tk.level != 0 {
-		return false
-	}
-	if c.pendingWork > 0 || c.pendingOp != nil {
-		if c.robFree() != 0 {
-			return false // dispatch would push buffered work
-		}
-	} else if !c.srcDone {
-		return false // dispatch would consult the source
-	}
-	for i := range c.startQ {
-		dep := c.startQ[i].dep
-		if dep == nil || dep.done >= 0 {
-			return false // could start (or become startable) on its own
-		}
-	}
-	c.asleep = true
-	c.wakePending = false
-	c.sleepFrom = now + 1
-	return true
-}
-
-// Asleep reports whether the core is sleeping through a DRAM stall.
-func (c *Core) Asleep() bool { return c.asleep }
-
-// NeedsWake reports whether a memory completion has arrived for a
-// sleeping core, so the system must Resume it at the next CPU cycle it
-// would tick.
-func (c *Core) NeedsWake() bool { return c.asleep && c.wakePending }
-
-// wake marks a sleeping core for resumption. It deliberately does not
-// end the sleep: the completion fires during the controller phase of
-// memory cycle m with a CPU-domain timestamp that precedes the core's
-// not-yet-simulated subcycles of that same memory cycle, all of which
-// are still stall cycles (the load retires no earlier than the next
-// subcycle). Resume replays them in closed form.
-func (c *Core) wake(int64) {
-	if c.asleep {
-		c.wakePending = true
-	}
-}
-
-// Resume ends a sleep at CPU cycle at (exclusive), replaying the
-// skipped cycles: each was a head-of-ROB DRAM stall, so the whole
-// stretch is stall += n on the head load and total += n —
-// bit-identical to ticking them (both counters are integers). at is
-// the first cycle the resumed per-cycle loop will simulate.
-func (c *Core) Resume(at int64) {
-	c.SyncSleep(at)
-	c.asleep = false
-	c.wakePending = false
-}
-
-// SyncSleep replays a sleeping core's skipped stall cycles up to CPU
-// cycle upto (exclusive) without waking it, so its cycle stack can be
-// read mid-sleep (sample cuts, early stops, final results).
-func (c *Core) SyncSleep(upto int64) {
-	if !c.asleep || upto <= c.sleepFrom {
-		return
-	}
-	tk := c.rob[c.head].tk
-	tk.stall += upto - c.sleepFrom
-	c.acct.AddTotal(upto - c.sleepFrom)
-	c.sleepFrom = upto
 }

@@ -1,10 +1,11 @@
 // Package sched implements the hierarchical timing wheel that drives
 // the simulator's event-driven main loop: every component with a
 // schedulable next event — memory controllers (including their refresh
-// deadlines), sleeping cores, the through-time sampler and the
-// warmup/budget boundaries — registers the cycle of its next event as
-// an actor in the wheel, and the main loop jumps from event to event
-// instead of interrogating every component every cycle.
+// deadlines), cores (the end of their provably repetitive states), the
+// through-time sampler and the warmup/budget boundaries — registers the
+// cycle of its next event as an actor in the wheel, and the main loop
+// jumps from event to event instead of interrogating every component
+// every cycle.
 //
 // The wheel is the classic hierarchical design (Varghese & Lauck):
 // four levels of 64 slots each, where level l buckets events at a
@@ -29,8 +30,9 @@ import (
 
 const (
 	// MaxActors is the number of distinct actor IDs a wheel tracks.
-	// 64 keeps every slot a single uint64 bitmask; the simulator needs
-	// well under that (≤16 controllers + cores + boundary actors).
+	// 64 keeps every slot a single uint64 bitmask; the simulator's
+	// configuration check rejects machines whose controllers, boundary
+	// actors and cores would not fit.
 	MaxActors = 64
 
 	levelBits = 6 // 64 slots per level

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/memctrl"
 	"dramstacks/internal/stacks"
 	"dramstacks/internal/workload"
@@ -27,13 +28,13 @@ func printRes(tag string, res *Result) {
 func runSyn2(t *testing.T, pat workload.Pattern, cores int, storeFrac float64,
 	m Mapping, policy memctrl.PagePolicy, budget int64) *Result {
 	t.Helper()
-	cfg := Default(cores)
+	cfg := DefaultFor(standard.Default(), cores)
 	cfg.Map = m
 	cfg.Ctrl.Policy = policy
 	cfg.MaxMemCycles = budget
 	cfg.PrewarmOps = 1 << 20
 	sources := SyntheticSources(pat, cores, storeFrac)
-	sys, err := NewFromConfig(cfg, sources)
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(sources...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dramstacks/internal/cpu"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/stacks"
 	"dramstacks/internal/workload"
 )
@@ -40,7 +41,7 @@ func TestCalibrationReport(t *testing.T) {
 
 func runSynthetic(t *testing.T, pat workload.Pattern, cores int, storeFrac float64, m Mapping, warmup, budget int64) *Result {
 	t.Helper()
-	cfg := Default(cores)
+	cfg := DefaultFor(standard.Default(), cores)
 	cfg.Map = m
 	cfg.MaxMemCycles = budget
 	cfg.WarmupMemCycles = warmup
@@ -59,7 +60,7 @@ func runSynthetic(t *testing.T, pat workload.Pattern, cores int, storeFrac float
 		wc.Seed = int64(i + 1)
 		sources = append(sources, workload.MustSynthetic(wc))
 	}
-	sys, err := NewFromConfig(cfg, sources)
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(sources...))
 	if err != nil {
 		t.Fatal(err)
 	}

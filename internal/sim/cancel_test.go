@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/stacks"
 	"dramstacks/internal/workload"
 )
@@ -15,11 +16,11 @@ import (
 // post-warmup cycles actually executed, and the bandwidth-stack invariant
 // (components sum to total cycles) still holds.
 func TestRunContextCancel(t *testing.T) {
-	cfg := Default(1)
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.MaxMemCycles = 1 << 40 // would take hours; cancellation must cut it short
 	cfg.WarmupMemCycles = 5_000
 	cfg.SampleInterval = 10_000
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 1, 0))
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(SyntheticSources(workload.Sequential, 1, 0)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +65,9 @@ func TestRunContextCancel(t *testing.T) {
 // TestRunContextNilDoneFinishes checks the uncancellable context path is
 // unaffected: Run (background context) completes on the cycle budget.
 func TestRunContextCompletesOnBudget(t *testing.T) {
-	cfg := Default(1)
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.MaxMemCycles = 20_000
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 1, 0))
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(SyntheticSources(workload.Sequential, 1, 0)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,21 +80,21 @@ func TestRunContextCompletesOnBudget(t *testing.T) {
 	}
 }
 
-// TestOnSampleStreams checks the live sample hook sees every sample the
-// final result carries, in order.
-func TestOnSampleStreams(t *testing.T) {
-	cfg := Default(1)
+// TestSampleFuncStreams checks a live sample observer sees every sample
+// the final result carries, in order.
+func TestSampleFuncStreams(t *testing.T) {
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.MaxMemCycles = 50_000
 	cfg.SampleInterval = 10_000
 	var live []int64
-	cfg.OnSample = func(s stacks.Sample) { live = append(live, s.End) }
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 1, 0))
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(SyntheticSources(workload.Sequential, 1, 0)...),
+		WithSampleFunc(func(s stacks.Sample) { live = append(live, s.End) }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := sys.Run()
 	if len(live) != len(res.BWSamples) {
-		t.Fatalf("OnSample saw %d samples, result has %d", len(live), len(res.BWSamples))
+		t.Fatalf("observer saw %d samples, result has %d", len(live), len(res.BWSamples))
 	}
 	for i, s := range res.BWSamples {
 		if live[i] != s.End {

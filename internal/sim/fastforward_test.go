@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dramstacks/internal/cpu"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/memctrl"
 	"dramstacks/internal/stacks"
 	"dramstacks/internal/workload"
@@ -13,24 +14,24 @@ import (
 // goldenCompare runs the same configuration through the fast-forwarding
 // loop and the reference per-cycle loop and requires byte-identical
 // results: every stack, sample, histogram and statistic. mk must return a
-// fresh, identical source set on each call.
-func goldenCompare(t *testing.T, name string, cfg Config, mk func() []cpu.Source) {
+// fresh, identical source set on each call. With live set, a sample
+// observer is attached and the published streams must match as well.
+func goldenCompare(t *testing.T, name string, cfg Config, mk func() []cpu.Source, live bool) {
 	t.Helper()
 
 	var fastSamples, slowSamples []stacks.Sample
 	run := func(slow bool, sink *[]stacks.Sample) *Result {
-		c := cfg
-		if c.OnSample != nil {
-			c.OnSample = func(s stacks.Sample) { *sink = append(*sink, s) }
+		opts := []Option{WithConfig(cfg), WithSources(mk()...)}
+		if live {
+			opts = append(opts, WithSampleFunc(func(s stacks.Sample) { *sink = append(*sink, s) }))
 		}
-		sys, err := NewFromConfig(c, mk())
+		sys, err := New(standard.Default(), opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		sys.slow = slow
 		res := sys.Run()
 		// Function fields never compare equal; everything else must.
-		res.Cfg.OnSample = nil
 		res.Cfg.Trace = nil
 		return res
 	}
@@ -82,30 +83,30 @@ func cacheResident(cores int, workPerOp int, branchEvery int, mispredict float64
 // accounting punctuated only by refresh ticks — across warmup and sample
 // boundaries.
 func TestGoldenLowUtilIdle(t *testing.T) {
-	cfg := Default(1)
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.MaxMemCycles = 80_000
 	cfg.WarmupMemCycles = 15_000
 	cfg.SampleInterval = 10_000
 	cfg.PrewarmOps = 1 << 12
-	goldenCompare(t, "low-util idle", cfg, cacheResident(1, 60, 0, 0))
+	goldenCompare(t, "low-util idle", cfg, cacheResident(1, 60, 0, 0), false)
 }
 
 // TestGoldenBranchBubble adds frequent branch mispredictions with nothing
-// in flight, the state the whole-system skip fast-forwards as pipeline
-// refill (Branch) cycles.
+// in flight, the state the core replays in closed form as pipeline refill
+// (Branch) cycles.
 func TestGoldenBranchBubble(t *testing.T) {
-	cfg := Default(1)
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.MaxMemCycles = 60_000
 	cfg.SampleInterval = 7_000
 	cfg.PrewarmOps = 1 << 12
-	goldenCompare(t, "branch bubble", cfg, cacheResident(1, 0, 3, 0.5))
+	goldenCompare(t, "branch bubble", cfg, cacheResident(1, 0, 3, 0.5), false)
 }
 
 // TestGoldenDrainToDone runs a finite DRAM-bound workload to completion
 // (MaxMemCycles = 0), covering the done() exit and the post-drain idle
 // tail under fast-forwarding.
 func TestGoldenDrainToDone(t *testing.T) {
-	cfg := Default(1)
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.MaxMemCycles = 0
 	cfg.SampleInterval = 5_000
 	mk := func() []cpu.Source {
@@ -113,22 +114,21 @@ func TestGoldenDrainToDone(t *testing.T) {
 		wc.Ops = 1_500
 		return []cpu.Source{workload.MustSynthetic(wc)}
 	}
-	goldenCompare(t, "drain to done", cfg, mk)
+	goldenCompare(t, "drain to done", cfg, mk, false)
 }
 
 // TestGoldenMultichannelSampling drives two channels from two cores with
-// warmup, periodic samples and a live OnSample subscriber; per-channel
+// warmup, periodic samples and a live sample observer; per-channel
 // lazy catch-up must keep every published sample byte-identical.
 func TestGoldenMultichannelSampling(t *testing.T) {
-	cfg := Default(2)
+	cfg := DefaultFor(standard.Default(), 2)
 	cfg.Channels = 2
 	cfg.MaxMemCycles = 100_000
 	cfg.WarmupMemCycles = 20_000
 	cfg.SampleInterval = 10_000
 	cfg.PrewarmOps = 1 << 12
-	cfg.OnSample = func(stacks.Sample) {} // replaced per run by goldenCompare
 	mk := func() []cpu.Source { return SyntheticSources(workload.Random, 2, 0.2) }
-	goldenCompare(t, "multichannel sampling", cfg, mk)
+	goldenCompare(t, "multichannel sampling", cfg, mk, true)
 }
 
 // TestGoldenPatternPolicyMatrix sweeps the paper's Fig. 2/4 axes
@@ -141,14 +141,43 @@ func TestGoldenPatternPolicyMatrix(t *testing.T) {
 	}
 	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
 		for _, pol := range []memctrl.PagePolicy{memctrl.OpenPage, memctrl.ClosedPage} {
-			cfg := Default(1)
+			cfg := DefaultFor(standard.Default(), 1)
 			cfg.Ctrl.Policy = pol
 			cfg.MaxMemCycles = 60_000
 			cfg.SampleInterval = 15_000
 			cfg.PrewarmOps = 1 << 16
 			pat := pat
 			mk := func() []cpu.Source { return SyntheticSources(pat, 1, 0) }
-			goldenCompare(t, pat.String()+"/"+pol.String(), cfg, mk)
+			goldenCompare(t, pat.String()+"/"+pol.String(), cfg, mk, false)
 		}
 	}
+}
+
+// TestGoldenPrewarmedStores runs the seed oracle's shape — two
+// sequential cores with stores from a fully warmed hierarchy — whose
+// writeback traffic keeps the controller busy while the cores sit in
+// replayable windows behind full ROBs.
+func TestGoldenPrewarmedStores(t *testing.T) {
+	cfg := DefaultFor(standard.Default(), 2)
+	cfg.MaxMemCycles = 20_000
+	cfg.SampleInterval = 3_000
+	cfg.PrewarmOps = 1 << 20
+	mk := func() []cpu.Source { return SyntheticSources(workload.Sequential, 2, 0.2) }
+	goldenCompare(t, "prewarmed stores", cfg, mk, true)
+}
+
+// TestGoldenCrossChannelWriteback uses a fully associative LLC, so a
+// fill on one channel evicts dirty lines that belong to the other: the
+// writeback reaches a controller that may already have had its turn in
+// this cycle's controller phase, and must first be seen on its next
+// cycle, exactly as in the reference loop.
+func TestGoldenCrossChannelWriteback(t *testing.T) {
+	cfg := DefaultFor(standard.Default(), 2)
+	cfg.Channels = 2
+	cfg.Hier.L2.SizeBytes = 16 << 10
+	cfg.Hier.LLC.SizeBytes, cfg.Hier.LLC.Ways = 16*64, 16
+	cfg.MaxMemCycles = 30_000
+	cfg.SampleInterval = 5_000
+	mk := func() []cpu.Source { return SyntheticSources(workload.Random, 2, 0.5) }
+	goldenCompare(t, "cross-channel writeback", cfg, mk, true)
 }

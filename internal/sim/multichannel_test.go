@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/workload"
 )
 
@@ -14,11 +15,11 @@ func TestTwoChannelsDoubleSequentialBandwidth(t *testing.T) {
 		t.Skip("full-system test skipped in -short")
 	}
 	run := func(channels int) *Result {
-		cfg := Default(8)
+		cfg := DefaultFor(standard.Default(), 8)
 		cfg.Channels = channels
 		cfg.MaxMemCycles = 200_000
 		cfg.PrewarmOps = 1 << 20
-		sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 8, 0))
+		sys, err := New(standard.Default(), WithConfig(cfg), WithSources(SyntheticSources(workload.Sequential, 8, 0)...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +92,11 @@ func TestTwoChannelsDoubleSequentialBandwidth(t *testing.T) {
 }
 
 func TestMultiChannelSamplesAggregate(t *testing.T) {
-	cfg := Default(2)
+	cfg := DefaultFor(standard.Default(), 2)
 	cfg.Channels = 2
 	cfg.MaxMemCycles = 60_000
 	cfg.SampleInterval = 20_000
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 2, 0))
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(SyntheticSources(workload.Sequential, 2, 0)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestMultiChannelSamplesAggregate(t *testing.T) {
 }
 
 func TestChannelsValidation(t *testing.T) {
-	cfg := Default(1)
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.Channels = -1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative channels accepted")

@@ -57,16 +57,15 @@ func TestPrewarmParallelMatchesSerial(t *testing.T) {
 	ResetPrewarmMemo() // the parallel run must warm, not restore
 
 	run := func(wrap bool) *Result {
-		cfg := Default(4)
+		cfg := DefaultFor(standard.Default(), 4)
 		cfg.MaxMemCycles = 20_000
 		cfg.SampleInterval = 3_000
 		cfg.PrewarmOps = 1 << 14
-		sys, err := NewFromConfig(cfg, prewarmSources(wrap))
+		sys, err := New(standard.Default(), WithConfig(cfg), WithSources(prewarmSources(wrap)...))
 		if err != nil {
 			t.Fatal(err)
 		}
 		res := sys.Run()
-		res.Cfg.OnSample = nil
 		res.Cfg.Trace = nil
 		return res
 	}
@@ -100,7 +99,7 @@ func TestPrewarmQuotaExactWithBatching(t *testing.T) {
 		cfg := DefaultFor(standard.Default(), 1)
 		cfg.MaxMemCycles = 100
 		cfg.PrewarmOps = quota
-		sys, err := NewFromConfig(cfg, srcs)
+		sys, err := New(standard.Default(), WithConfig(cfg), WithSources(srcs...))
 		if err != nil {
 			t.Fatal(err)
 		}

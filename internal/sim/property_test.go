@@ -10,7 +10,6 @@ import (
 	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/memctrl"
 	"dramstacks/internal/qos"
-	"dramstacks/internal/stacks"
 	"dramstacks/internal/workload"
 )
 
@@ -30,6 +29,7 @@ type randSpec struct {
 	branch    int
 	mispred   float64
 	ops       int64 // >0: finite workload, run to completion
+	live      bool  // attach a sample observer (see goldenCompare)
 }
 
 // drawSpec samples one spec from the cross product the issue names —
@@ -77,7 +77,7 @@ func drawSpec(rng *rand.Rand, i int) randSpec {
 	if rng.Intn(2) == 0 {
 		cfg.SampleInterval = cfg.MaxMemCycles / int64(3+rng.Intn(5))
 		if rng.Intn(2) == 0 {
-			cfg.OnSample = func(stacks.Sample) {} // replaced per run by goldenCompare
+			sp.live = true
 		}
 	}
 	if rng.Intn(4) == 0 {
@@ -159,7 +159,7 @@ func TestGoldenRandomizedSpecs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		sp := drawSpec(rng, i)
 		t.Run(sp.name, func(t *testing.T) {
-			goldenCompare(t, sp.name, sp.cfg, sp.sources)
+			goldenCompare(t, sp.name, sp.cfg, sp.sources, sp.live)
 		})
 	}
 }
@@ -234,7 +234,7 @@ func TestGoldenBatchHostileSpecs(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		sp := drawHostileSpec(rng, i)
 		t.Run(sp.name, func(t *testing.T) {
-			goldenCompare(t, sp.name, sp.cfg, sp.sources)
+			goldenCompare(t, sp.name, sp.cfg, sp.sources, sp.live)
 		})
 	}
 }
@@ -254,11 +254,10 @@ func TestSampleIntervalInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5a41e))
 	for i := 0; i < 10; i++ {
 		sp := drawSpec(rng, i)
-		sp.cfg.OnSample = nil
 		run := func(interval int64) *Result {
 			c := sp.cfg
 			c.SampleInterval = interval
-			sys, err := NewFromConfig(c, sp.sources())
+			sys, err := New(standard.Default(), WithConfig(c), WithSources(sp.sources()...))
 			if err != nil {
 				t.Fatalf("%s: %v", sp.name, err)
 			}

@@ -50,13 +50,10 @@ func (m Mapping) String() string {
 	}
 }
 
-// Config describes a full-system experiment.
-//
-// Constructing a Config by field literal is deprecated for callers
-// outside this package: assemble systems with New(standard, ...Option)
-// instead, which starts from DefaultFor and applies options. The struct
-// remains exported (and DefaultFor remains the base-configuration
-// helper) so existing spec-driven code keeps working via WithConfig.
+// Config describes a full-system experiment. Systems are assembled with
+// New(standard, ...Option), which starts from DefaultFor; spec-driven
+// callers that derive a whole Config elsewhere hand it over with
+// WithConfig.
 type Config struct {
 	Cores   int
 	CPUMult int // CPU cycles per memory cycle
@@ -100,22 +97,6 @@ type Config struct {
 	// Trace, if non-nil, receives every issued DRAM command (e.g. a
 	// trace.Recorder hook for offline stack construction).
 	Trace func(cycle int64, cmd dram.Command)
-	// OnSample, if non-nil, receives each through-time sample (aggregated
-	// over all channels) as soon as it is cut, so long-running consumers
-	// (e.g. the dramstacksd service) can stream progress while the
-	// simulation is still executing. Requires SampleInterval > 0.
-	//
-	// Deprecated: attach an Observer (WithObserver / WithSampleFunc)
-	// instead; OnSample remains as a shim for existing callers.
-	OnSample func(s stacks.Sample)
-}
-
-// Default returns the paper's machine configuration for the given core
-// count, with a cycle budget the caller usually overrides. The memory
-// is the default standard from the registry (ddr4-2400, the exact
-// configuration the paper evaluates).
-func Default(cores int) Config {
-	return DefaultFor(standard.Default(), cores)
 }
 
 // DefaultFor returns the paper's machine configuration for the given
@@ -171,6 +152,10 @@ func (c Config) validate() (addrmap.Mapper, error) {
 	}
 	if d := c.devices(); d > 16 {
 		return nil, fmt.Errorf("sim: channels x sub-channels must be at most 16 devices, got %d", d)
+	}
+	if n := c.devices() + numBoundaries + c.Cores; n > sched.MaxActors {
+		return nil, fmt.Errorf("sim: %d devices + %d boundaries + %d cores need %d event-wheel actors, at most %d fit",
+			c.devices(), numBoundaries, c.Cores, n, sched.MaxActors)
 	}
 	if c.MaxMemCycles < 0 || c.WarmupMemCycles < 0 {
 		return nil, fmt.Errorf("sim: negative cycle budget")
@@ -236,46 +221,45 @@ type System struct {
 
 	memCycle int64
 
-	// Idle-cycle fast-forwarding state (unused when slow is set).
+	// slow selects the per-cycle reference loop (the -tags=slowtick
+	// default); the event-loop state below is unused then.
+	slow bool
+
+	// wheel schedules every actor's next event by memory cycle: the
+	// controllers (IDs 0..channels-1), the warmup, sampler and budget
+	// boundaries, then the cores (see the actor ID helpers below).
+	wheel *sched.Wheel
 	// Controllers are ticked lazily: ctrlTicked is the last memory cycle
 	// each controller has simulated, ctrlNext the next cycle it must
 	// simulate for real (everything in between is provably idle and is
-	// replayed in closed form by catchUpCtrl). slow selects the
-	// per-cycle reference loop (the -tags=slowtick default).
+	// replayed in closed form by catchUpCtrl). ctrlTurn counts the
+	// controllers whose turn in the current cycle's controller phase has
+	// passed (see enqueueTarget).
 	ctrlTicked []int64
 	ctrlNext   []int64
-	slow       bool
-
-	// Sprint scratch (see sprint): per-core next-event cycle and the
-	// first CPU cycle each core has not yet simulated or replayed.
-	coreNext []int64
-	coreFrom []int64
-
-	// wheel is the event scheduler of the fast loop: controller actors
-	// (IDs 0..channels-1) carry each controller's next real tick cycle
-	// (including its refresh deadline when idle), and one actor each for
-	// the budget, warmup and sampler boundaries. The main loop pops due
-	// controllers per cycle and jumps straight to wheel.Earliest() when
-	// every core and the cache hierarchy are provably inert.
-	wheel *sched.Wheel
+	ctrlTurn   int
+	// Cores are ticked only at their own events (see coreClock). active
+	// holds the cores due by the next memory cycle, which the loop ticks
+	// without touching the wheel; the rest wait as wheel actors or, with
+	// no event of their own, for a memory completion to wake them.
+	// tickCPU and tickCore locate the (CPU cycle, core) slot being
+	// simulated, which is where a wake lands.
+	clocks   []coreClock
+	active   uint64
+	tickCPU  int64
+	tickCore int
 
 	// readDone is the single pre-bound read-completion callback shared
 	// by every memory request (the per-request waiter travels in
 	// Request.Meta), so enqueuing allocates no closures.
 	readDone func(*memctrl.Request, int64)
 
-	// memActive flags that a request reached a memory controller since
-	// it was last cleared; the sprint loop uses it to detect that the
-	// memory system woke up and per-cycle controller phases are needed
-	// again.
-	memActive bool
-
 	observers []Observer
 
 	cycleSamples []cyclestack.Stack
 	lastCycle    cyclestack.Stack
 	nextCut      int64
-	published    int // per-channel samples already delivered to OnSample
+	published    int // per-channel samples already delivered to observers
 	cancelled    bool
 
 	warmBW     []stacks.BandwidthStack
@@ -285,18 +269,17 @@ type System struct {
 	warmed     bool
 }
 
-// NewFromConfig assembles a system from a fully built Config running
-// the given per-core instruction sources (len(sources) must equal
-// cfg.Cores).
-//
-// Deprecated: use New(standard, WithSources(...), ...) — or, for
-// spec-driven callers that already hold a Config, New(standard,
-// WithConfig(cfg), WithSources(...)).
-func NewFromConfig(cfg Config, sources []cpu.Source) (*System, error) {
-	return newSystem(cfg, sources)
+// coreClock is a core's position in the event loop, in CPU cycles: next
+// is its next event (cpu.Core.NextEventCycle; math.MaxInt64 for a
+// finished core or one stalled until a memory completion), from the
+// first cycle it has neither simulated nor replayed. The cycles from
+// from up to next are provably repetitive and are replayed in closed
+// form (cpu.Core.FastForward) when the core is next ticked or read.
+type coreClock struct {
+	next, from int64
 }
 
-// newSystem assembles a system; New and NewFromConfig front it.
+// newSystem assembles a system; New fronts it.
 func newSystem(cfg Config, sources []cpu.Source) (*System, error) {
 	mapper, err := cfg.validate()
 	if err != nil {
@@ -336,24 +319,6 @@ func newSystem(cfg Config, sources []cpu.Source) (*System, error) {
 		s.ctrls = append(s.ctrls, ctrl)
 	}
 	s.slow = SlowTick
-	s.ctrlTicked = make([]int64, channels)
-	s.ctrlNext = make([]int64, channels)
-	s.coreNext = make([]int64, cfg.Cores)
-	s.coreFrom = make([]int64, cfg.Cores)
-	s.wheel = sched.New()
-	for ch := range s.ctrlTicked {
-		s.ctrlTicked[ch] = -1
-		s.wheel.Schedule(ch, 0)
-	}
-	if cfg.MaxMemCycles > 0 {
-		s.wheel.Schedule(s.budgetActor(), cfg.MaxMemCycles)
-	}
-	if cfg.WarmupMemCycles > 0 {
-		s.wheel.Schedule(s.warmupActor(), cfg.WarmupMemCycles)
-	}
-	if cfg.SampleInterval > 0 {
-		s.wheel.Schedule(s.samplerActor(), cfg.SampleInterval)
-	}
 	s.readDone = func(r *memctrl.Request, at int64) {
 		r.Meta.(cache.Waiter).MemDone(at*int64(s.cfg.CPUMult), r.QueueFraction(), r.RegFraction())
 	}
@@ -372,10 +337,17 @@ func newSystem(cfg Config, sources []cpu.Source) (*System, error) {
 	return s, nil
 }
 
-// Boundary actor IDs in the event wheel (after the controller actors).
-func (s *System) budgetActor() int  { return s.channels }
-func (s *System) warmupActor() int  { return s.channels + 1 }
-func (s *System) samplerActor() int { return s.channels + 2 }
+// numBoundaries is the number of boundary actors in the event wheel.
+const numBoundaries = 3
+
+// Actor IDs in the event wheel. Controllers come first, so a cycle's
+// controller phase pops them in channel order; the boundaries follow in
+// the order the reference loop observes them (warmup, sample, budget).
+// Each boundary fires on the last memory cycle before it.
+func (s *System) warmupActor() int    { return s.channels }
+func (s *System) samplerActor() int   { return s.channels + 1 }
+func (s *System) budgetActor() int    { return s.channels + 2 }
+func (s *System) coreActor(i int) int { return s.channels + numBoundaries + i }
 
 // memPort adapts the memory controller to the cache hierarchy's CPU-cycle
 // view of time.
@@ -391,16 +363,23 @@ func (s *System) route(addr uint64) int {
 	return s.mapper.Decode(addr).Channel
 }
 
-// enqueueTarget catches the addressed controller up to the cycle just
-// before the current one (requests at cycle m arrive after Tick(m-1) and
-// before Tick(m)) and marks it due for a real tick this cycle.
+// enqueueTarget catches the addressed controller up and marks it due for
+// the first real tick that sees a request arriving now: this cycle's
+// (requests at cycle m arrive after Tick(m-1) and before Tick(m)), or
+// the next one if the controller already had its turn in this cycle's
+// controller phase — the reference loop ticked it before the request
+// existed.
 func (s *System) enqueueTarget(addr uint64) *memctrl.Controller {
 	ch := s.route(addr)
 	if !s.slow {
-		s.catchUpCtrl(ch, s.memCycle-1)
-		if s.ctrlNext[ch] > s.memCycle {
-			s.ctrlNext[ch] = s.memCycle
-			s.wheel.Schedule(ch, s.memCycle)
+		at := s.memCycle
+		if ch < s.ctrlTurn {
+			at++
+		}
+		s.catchUpCtrl(ch, at-1)
+		if s.ctrlNext[ch] > at {
+			s.ctrlNext[ch] = at
+			s.wheel.Schedule(ch, at)
 		}
 	}
 	return s.ctrls[ch]
@@ -411,7 +390,6 @@ func (s *System) enqueueTarget(addr uint64) *memctrl.Controller {
 // callback, so a read enqueues without allocating.
 func (p *memPort) Read(nowCPU int64, addr uint64, src int, w cache.Waiter) bool {
 	s := (*System)(p)
-	s.memActive = true
 	_, ok := s.enqueueTarget(addr).EnqueueReadFrom(s.memCycle, addr, src, s.readDone, w)
 	return ok
 }
@@ -419,14 +397,9 @@ func (p *memPort) Read(nowCPU int64, addr uint64, src int, w cache.Waiter) bool 
 // Write implements cache.MemPort.
 func (p *memPort) Write(nowCPU int64, addr uint64, src int) bool {
 	s := (*System)(p)
-	s.memActive = true
 	_, ok := s.enqueueTarget(addr).EnqueueWriteFrom(s.memCycle, addr, src, nil, nil)
 	return ok
 }
-
-// Controller exposes the memory controller of channel 0 (for extra
-// statistics in single-channel experiments).
-func (s *System) Controller() *memctrl.Controller { return s.ctrls[0] }
 
 // Hierarchy exposes the cache hierarchy.
 func (s *System) Hierarchy() *cache.Hierarchy { return s.hier }
@@ -441,10 +414,10 @@ func (s *System) Run() *Result { return s.RunContext(context.Background()) }
 const cancelCheckMask = 1<<10 - 1
 
 // SlowTick, when true, makes systems created afterwards use the reference
-// per-cycle loop instead of idle-cycle fast-forwarding. It defaults to
-// false; building with -tags=slowtick flips the default. Both loops
-// produce byte-identical results — the slow loop exists as the golden
-// reference for the equivalence tests and for debugging.
+// per-cycle loop instead of the event loop. It defaults to false;
+// building with -tags=slowtick flips the default. Both loops produce
+// byte-identical results — the slow loop exists as the golden reference
+// for the equivalence tests and for debugging.
 var SlowTick = defaultSlowTick
 
 // RunContext simulates like Run but additionally polls ctx every few
@@ -453,103 +426,78 @@ var SlowTick = defaultSlowTick
 // warmup subtraction and through-time sampling behave exactly as on a
 // normal early stop, so the partial stacks remain internally consistent.
 //
-// The loop fast-forwards across provably idle cycles instead of ticking
-// every component every DRAM cycle (see doc/PERF.md): idle memory
-// controllers are ticked lazily and their idle gaps replayed in closed
-// form, and when additionally every core is in a provably repetitive
-// state with nothing in flight, whole memory cycles are skipped in bulk.
-// Every stack, sample and statistic stays byte-identical to the
-// reference per-cycle loop (build with -tags=slowtick, or set SlowTick,
-// to run it).
+// The loop is event-driven (see doc/PERF.md): every controller, core
+// and boundary is an actor in a timing wheel, the loop jumps straight
+// to the earliest pending event, and each memory cycle it simulates
+// ticks only the actors that are due. Idle controller gaps and a core's
+// provably repetitive stretches are replayed in closed form. Every
+// stack, sample and statistic stays byte-identical to the reference
+// per-cycle loop (build with -tags=slowtick, or set SlowTick, to run
+// it).
 func (s *System) RunContext(ctx context.Context) *Result {
 	if s.slow {
 		return s.runSlow(ctx)
 	}
-	done := ctx.Done()
-simLoop:
+	s.startLoop()
+	poll := int64(0) // next memory cycle to poll ctx at
+	if ctx.Done() == nil {
+		poll = math.MaxInt64
+	}
+	ctrls := uint64(1)<<uint(s.channels) - 1
+	warmup := uint64(1) << uint(s.warmupActor())
+	sampler := uint64(1) << uint(s.samplerActor())
+	budget := uint64(1) << uint(s.budgetActor())
 	for {
-		if s.sprintable() {
-			s.sprint()
-		} else {
-			m := s.memCycle
-			// Sleep is only reachable with a demand miss in flight, so
-			// TrySleep is skipped entirely on miss-free cycles.
-			canSleep := s.hier.OutstandingMisses() > 0
-			for c := 0; c < s.cfg.CPUMult; c++ {
-				cpuNow := m*int64(s.cfg.CPUMult) + int64(c)
-				for _, core := range s.cores {
-					// A core sleeping through a DRAM stall is not ticked;
-					// when a memory completion has arrived for it, the
-					// skipped stall cycles are replayed in closed form and
-					// it resumes here.
-					if core.Asleep() {
-						if !core.NeedsWake() {
-							continue
-						}
-						core.Resume(cpuNow)
-					}
-					core.CPUCycle(cpuNow)
-					if canSleep {
-						core.TrySleep(cpuNow)
-					}
-				}
-				s.hier.Tick(cpuNow)
-			}
-		}
 		m := s.memCycle
-		s.wheel.Advance(m)
-		for mask := s.wheel.PopDue(); mask != 0; {
-			a := bits.TrailingZeros64(mask)
-			mask &^= 1 << uint(a)
-			if a < s.channels {
-				s.catchUpCtrl(a, m)
-			}
-			// Boundary actors (budget/warmup/sampler) are pure jump
-			// clamps; the bookkeeping below observes their cycles.
+		if s.active == 0 && !s.hier.Pending() {
+			// Nothing needs the next cycle: jump to the earliest event.
+			// (A busy cache hierarchy implies a busy controller, but its
+			// writeback retries run every CPU cycle, so step anyway.)
+			m = s.wheel.Earliest()
 		}
-		s.memCycle++
+		s.wheel.Advance(m)
+		s.memCycle = m
+		due := s.wheel.PopDue()
+		s.active |= due >> uint(s.coreActor(0))
+		s.tickCores(m)
 
-		// Post-cycle bookkeeping; repeats after a bulk skip so every
-		// boundary (warmup, sample cut, budget) is observed at exactly
-		// the cycle the per-cycle loop would observe it.
-		for {
-			if s.cfg.WarmupMemCycles > 0 && !s.warmed && s.memCycle >= s.cfg.WarmupMemCycles {
-				s.catchUpAll(s.memCycle - 1)
-				s.snapWarm()
-				s.wheel.Cancel(s.warmupActor())
-			}
-			if s.cfg.SampleInterval > 0 && s.memCycle-s.nextCut >= s.cfg.SampleInterval {
-				s.catchUpAll(s.memCycle - 1)
-				s.cutCycleSample()
-				s.publishSamples()
-				s.wheel.Schedule(s.samplerActor(), s.nextCut+s.cfg.SampleInterval)
-			}
-			if s.cfg.MaxMemCycles > 0 && s.memCycle >= s.cfg.MaxMemCycles {
-				break simLoop
-			}
-			if done != nil && s.memCycle&cancelCheckMask == 0 {
-				select {
-				case <-done:
-					s.cancelled = true
-				default:
-				}
-				if s.cancelled {
-					break simLoop
-				}
-			}
-			if s.done() {
-				break simLoop
-			}
-			skip := s.skipWindow()
-			if skip <= s.memCycle {
+		// Controller phase, after every subcycle and in channel order. A
+		// request reaching an idle controller schedules it on this very
+		// cycle, so pop again.
+		s.tickCPU, s.tickCore = (m+1)*int64(s.cfg.CPUMult)-1, len(s.cores)
+		for due |= s.wheel.PopDue(); due&ctrls != 0; due |= s.wheel.PopDue() {
+			ch := bits.TrailingZeros64(due)
+			due &^= 1 << uint(ch)
+			s.ctrlTurn = ch
+			s.catchUpCtrl(ch, m)
+		}
+		s.ctrlTurn = 0
+		s.memCycle = m + 1
+
+		// Boundaries, observed after the cycle exactly like the
+		// reference loop's bookkeeping.
+		if due&warmup != 0 {
+			s.catchUpAll(m)
+			s.snapWarm()
+		}
+		if due&sampler != 0 {
+			s.catchUpAll(m)
+			s.cutCycleSample()
+			s.publishSamples()
+			s.wheel.Schedule(s.samplerActor(), s.nextCut+s.cfg.SampleInterval-1)
+		}
+		if due&budget != 0 {
+			break
+		}
+		if s.memCycle >= poll {
+			if s.cancelled = ctx.Err() != nil; s.cancelled {
 				break
 			}
-			from := s.memCycle * int64(s.cfg.CPUMult)
-			n := (skip - s.memCycle) * int64(s.cfg.CPUMult)
-			for _, core := range s.cores {
-				core.FastForward(from, n)
-			}
-			s.memCycle = skip
+			poll = s.memCycle + cancelCheckMask + 1
+		}
+		// A core due by the next cycle has not finished.
+		if s.active == 0 && s.done() {
+			break
 		}
 	}
 	s.catchUpAll(s.memCycle - 1)
@@ -560,6 +508,131 @@ simLoop:
 	s.publishSamples()
 	s.notifyDone()
 	return s.result()
+}
+
+// startLoop registers every actor for the event loop: the controllers
+// and the first core events at cycle 0, the boundaries on the last cycle
+// before them.
+func (s *System) startLoop() {
+	s.wheel = sched.New()
+	s.ctrlTicked = make([]int64, s.channels)
+	s.ctrlNext = make([]int64, s.channels)
+	for ch := range s.ctrlTicked {
+		s.ctrlTicked[ch] = -1
+		s.wheel.Schedule(ch, 0)
+	}
+	if s.cfg.WarmupMemCycles > 0 {
+		s.wheel.Schedule(s.warmupActor(), s.cfg.WarmupMemCycles-1)
+	}
+	if s.cfg.SampleInterval > 0 {
+		s.wheel.Schedule(s.samplerActor(), s.cfg.SampleInterval-1)
+	}
+	if s.cfg.MaxMemCycles > 0 {
+		s.wheel.Schedule(s.budgetActor(), s.cfg.MaxMemCycles-1)
+	}
+	s.clocks = make([]coreClock, len(s.cores))
+	wake := s.wake
+	for i, core := range s.cores {
+		core.SetWake(wake)
+		s.clocks[i].next = core.NextEventCycle(0)
+		s.place(i)
+	}
+}
+
+// tickCores simulates the CPU subcycles of memory cycle m. Each due core
+// first replays the cycles it owes, then ticks, then derives its next
+// event; a core whose next event lies beyond the next memory cycle
+// leaves the active set for the wheel, so a core that is busy every
+// cycle never touches the wheel.
+func (s *System) tickCores(m int64) {
+	mult := int64(s.cfg.CPUMult)
+	park := (m + 2) * mult
+	for cpu := m * mult; cpu < park-mult; cpu++ {
+		s.tickCPU = cpu
+		// The mask is re-read after every core: a core woken in this
+		// subcycle joins it if it comes later in core order.
+		for mask := s.active; mask != 0; mask = s.active &^ (2<<uint(s.tickCore) - 1) {
+			i := bits.TrailingZeros64(mask)
+			s.tickCore = i
+			cl := &s.clocks[i]
+			if cl.next > cpu {
+				continue
+			}
+			core := s.cores[i]
+			if cl.from < cpu {
+				core.FastForward(cl.from, cpu-cl.from)
+			}
+			cl.from = cpu + 1
+			core.CPUCycle(cpu)
+			if cl.next = core.NextEventCycle(cpu + 1); cl.next >= park {
+				s.place(i)
+			}
+		}
+		s.tickCore = len(s.cores)
+		if s.hier.Pending() {
+			s.hier.Tick(cpu)
+		} else if s.active == 0 {
+			return // nothing left to tick this memory cycle
+		}
+	}
+}
+
+// place files core i by its next event: in the active set when it is due
+// by the memory cycle after s.memCycle, otherwise as a wheel actor — or
+// nowhere, when only a memory completion can give it one.
+func (s *System) place(i int) {
+	bit := uint64(1) << uint(i)
+	next := s.clocks[i].next
+	mult := int64(s.cfg.CPUMult)
+	switch {
+	case next < (s.memCycle+2)*mult:
+		s.active |= bit
+		s.wheel.Cancel(s.coreActor(i))
+	case next == math.MaxInt64:
+		s.active &^= bit
+		s.wheel.Cancel(s.coreActor(i))
+	default:
+		s.active &^= bit
+		s.wheel.Schedule(s.coreActor(i), next/mult)
+	}
+}
+
+// wake is the cores' wake hook: a memory completion is about to change
+// core i's state, so the core becomes due at the first (CPU cycle, core)
+// slot after the one being simulated — this CPU cycle if it comes later
+// in core order, else the next one — exactly where the reference loop
+// first ticks it with the completion visible. The cycles it owes before
+// that are replayed now, under the state that proved them.
+func (s *System) wake(i int) {
+	due := s.tickCPU
+	if i <= s.tickCore {
+		due++
+	}
+	cl := &s.clocks[i]
+	due = min(due, cl.next)
+	if cl.from < due {
+		s.cores[i].FastForward(cl.from, due-cl.from)
+		cl.from = due
+	}
+	cl.next = due
+	s.place(i)
+}
+
+// syncCores replays every core's owed cycles up to the current memory
+// cycle, so cycle stacks and statistics can be read (sample cuts, the
+// final result), and re-derives each replayed core's next event.
+func (s *System) syncCores() {
+	upto := s.memCycle * int64(s.cfg.CPUMult)
+	for i := range s.clocks {
+		cl := &s.clocks[i]
+		if cl.from >= upto {
+			continue
+		}
+		s.cores[i].FastForward(cl.from, upto-cl.from)
+		cl.from = upto
+		cl.next = s.cores[i].NextEventCycle(upto)
+		s.place(i)
+	}
 }
 
 // catchUpCtrl brings controller ch up to date through memory cycle
@@ -598,203 +671,6 @@ func (s *System) catchUpAll(target int64) {
 	for ch := range s.ctrls {
 		s.catchUpCtrl(ch, target)
 	}
-}
-
-// sprintable reports whether the CPU side can run in the sprint loop:
-// every memory controller is provably idle until after the next memory
-// cycle (the wheel's earliest event — controller work, refresh deadline
-// or a warmup/sample/budget boundary — is at least two cycles out) and
-// no core is sleeping. Controllers with queued or in-flight requests
-// always have their next event at the very next cycle, so a far
-// earliest event implies an empty memory system, which in turn implies
-// no outstanding misses and no sleeping core to resume.
-func (s *System) sprintable() bool {
-	if s.wheel.Earliest() <= s.memCycle+1 {
-		return false
-	}
-	for _, core := range s.cores {
-		if core.Asleep() {
-			return false
-		}
-	}
-	return true
-}
-
-// sprint simulates CPU subcycles in a tight loop while the memory
-// system is empty: no controller phases, no sleep checks, no per-cycle
-// bookkeeping — just core cycles, cache ticks and closed-form
-// fast-forwarding at CPU-cycle granularity. It runs until the wheel's
-// next event is due, or until a core request reaches a controller
-// (memActive), and returns with s.memCycle at the last cycle whose
-// subcycles were simulated; the caller proceeds with that cycle's
-// controller phase and bookkeeping. Everything it does is byte-
-// identical to the per-cycle loop: skipped cycles satisfy the cores'
-// NextEventCycle contracts, and the memory cycles it covers have empty
-// controller phases by the wheel invariant.
-func (s *System) sprint() {
-	limit := s.wheel.Earliest() - 1 // cycles m..limit have empty ctrl phases
-	mult := int64(s.cfg.CPUMult)
-	cpu := s.memCycle * mult
-	end := (limit + 1) * mult // first CPU cycle past the sprintable range
-	// Stale activity from before this sprint is already handled:
-	// sprintable proved every controller idle. Only a wake-up during
-	// the sprint matters below.
-	s.memActive = false
-	nxt, from := s.coreNext, s.coreFrom
-	for i, core := range s.cores {
-		nxt[i] = core.NextEventCycle(cpu)
-		from[i] = cpu
-	}
-	for {
-		// Earliest cycle any core must simulate for real. Cores are
-		// independent between memory interactions, so each one is ticked
-		// only on its own event cycles; the provably repetitive stretch
-		// since from[i] is replayed in closed form right before, and a
-		// core with no due event just accrues owed cycles.
-		e := int64(math.MaxInt64)
-		for _, t := range nxt {
-			if t < e {
-				e = t
-			}
-		}
-		if e == math.MaxInt64 && !s.hier.Pending() {
-			// Every core has committed its stream (NextEventCycle is
-			// MaxInt64 only for a Done core) with nothing left in the
-			// memory system: the reference loop exits at the next
-			// memory-cycle boundary, not at the next wheel event, so
-			// finish this memory cycle and let the caller's done() check
-			// end the run on exactly the same cycle.
-			b := (cpu + mult - 1) / mult * mult
-			for i, core := range s.cores {
-				if d := b - from[i]; d > 0 {
-					core.FastForward(from[i], d)
-				}
-			}
-			s.memCycle = b/mult - 1
-			return
-		}
-		if e > cpu {
-			j := e
-			if j > end {
-				j = end
-			}
-			if s.hier.Pending() {
-				// A writeback backlog still needs its per-cycle retry;
-				// core cycles stay owed.
-				for cpu < j && !s.memActive {
-					s.memCycle = cpu / mult
-					s.hier.Tick(cpu)
-					cpu++
-				}
-			} else {
-				cpu = j
-			}
-		}
-		if !s.memActive {
-			if cpu >= end {
-				for i, core := range s.cores {
-					if d := end - from[i]; d > 0 {
-						core.FastForward(from[i], d)
-					}
-				}
-				s.memCycle = limit
-				return
-			}
-			if e <= cpu {
-				// Real cycle for the due cores: memPort timestamps
-				// enqueues with s.memCycle, so keep it current.
-				s.memCycle = cpu / mult
-				for i, core := range s.cores {
-					if nxt[i] > cpu {
-						continue
-					}
-					if d := cpu - from[i]; d > 0 {
-						core.FastForward(from[i], d)
-					}
-					core.CPUCycle(cpu)
-					from[i] = cpu + 1
-					nxt[i] = core.NextEventCycle(cpu + 1)
-				}
-				s.hier.Tick(cpu)
-				cpu++
-			}
-		}
-		if s.memActive {
-			// A request reached a controller: replay every core's owed
-			// cycles and finish this memory cycle's remaining subcycles,
-			// so the caller can run its controller phase exactly like
-			// the per-cycle loop.
-			for i, core := range s.cores {
-				if d := cpu - from[i]; d > 0 {
-					core.FastForward(from[i], d)
-				}
-			}
-			for cpu%mult != 0 {
-				for _, core := range s.cores {
-					core.CPUCycle(cpu)
-				}
-				s.hier.Tick(cpu)
-				cpu++
-			}
-			s.memActive = false
-			return
-		}
-	}
-}
-
-// skipWindow returns the first memory cycle at or after the current one
-// that must be simulated cycle by cycle. A return greater than
-// s.memCycle means every cycle in between is provably inert on all
-// sides: every channel is idle (no queued, in-flight or refresh-pending
-// work), the cache hierarchy has nothing in flight, and every core is in
-// a provably repetitive state — those cycles are charged in closed form
-// and skipped. The window is clamped to the next warmup, sample, budget
-// and core-resume boundary so bookkeeping fires on exactly the same
-// cycles as the per-cycle loop.
-func (s *System) skipWindow() int64 {
-	// Ordered cheapest-reject first: on a busy memory system the first
-	// channel check exits, keeping the fast loop's per-cycle overhead
-	// near zero when there is nothing to skip.
-	m := s.memCycle
-	limit := int64(0)
-	for ch := range s.ctrls {
-		next := s.ctrlNext[ch]
-		if next <= m {
-			return m
-		}
-		if limit == 0 || next < limit {
-			limit = next
-		}
-	}
-	mult := int64(s.cfg.CPUMult)
-	cpuNow := m * mult
-	for _, core := range s.cores {
-		e := core.NextEventCycle(cpuNow)
-		if e <= cpuNow {
-			return m
-		}
-		if mem := e / mult; mem < limit {
-			limit = mem
-		}
-	}
-	if s.hier.Pending() {
-		return m
-	}
-	if s.cfg.MaxMemCycles > 0 && s.cfg.MaxMemCycles < limit {
-		limit = s.cfg.MaxMemCycles
-	}
-	if s.cfg.WarmupMemCycles > 0 && !s.warmed && s.cfg.WarmupMemCycles < limit {
-		limit = s.cfg.WarmupMemCycles
-	}
-	if s.cfg.SampleInterval > 0 {
-		if b := s.nextCut + s.cfg.SampleInterval; b < limit {
-			limit = b
-		}
-	}
-	if limit < m {
-		return m
-	}
-	return limit
 }
 
 // runSlow is the reference per-cycle loop: every component ticks on
@@ -851,11 +727,10 @@ func (s *System) runSlow(ctx context.Context) *Result {
 }
 
 // publishSamples delivers any newly cut per-channel samples to the
-// observers (and the deprecated OnSample hook), aggregated across
-// channels (all channels sample on the same cycle grid, so index i
-// lines up), then reports progress to the observers.
+// observers, aggregated across channels (all channels sample on the
+// same cycle grid, so index i lines up), then reports progress.
 func (s *System) publishSamples() {
-	if s.cfg.OnSample == nil && len(s.observers) == 0 {
+	if len(s.observers) == 0 {
 		return
 	}
 	n := len(s.ctrls[0].Samples())
@@ -871,9 +746,6 @@ func (s *System) publishSamples() {
 			sc := ctrl.Samples()[i]
 			merged.BW.Add(sc.BW)
 			merged.Lat.Add(sc.Lat)
-		}
-		if s.cfg.OnSample != nil {
-			s.cfg.OnSample(merged)
 		}
 		for _, o := range s.observers {
 			o.Sample(merged)
@@ -921,18 +793,8 @@ func (s *System) aggregateCycleStack() cyclestack.Stack {
 	return agg
 }
 
-// syncSleepers replays sleeping cores' skipped stall cycles up to the
-// current simulation time, so cycle stacks can be read mid-sleep. A
-// no-op for awake cores.
-func (s *System) syncSleepers() {
-	upto := s.memCycle * int64(s.cfg.CPUMult)
-	for _, c := range s.cores {
-		c.SyncSleep(upto)
-	}
-}
-
 func (s *System) cutCycleSample() {
-	s.syncSleepers()
+	s.syncCores()
 	cur := s.aggregateCycleStack()
 	s.cycleSamples = append(s.cycleSamples, cur.Sub(s.lastCycle))
 	s.lastCycle = cur
@@ -1012,7 +874,7 @@ type Result struct {
 }
 
 func (s *System) result() *Result {
-	s.syncSleepers()
+	s.syncCores()
 	r := &Result{
 		Cfg:          s.cfg,
 		Channels:     s.channels,

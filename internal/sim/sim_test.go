@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"dramstacks/internal/cpu"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/memctrl"
 	"dramstacks/internal/stacks"
 	"dramstacks/internal/workload"
@@ -19,23 +21,40 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Core.Width = 0 },
 	}
 	for i, mutate := range bad {
-		cfg := Default(1)
+		cfg := DefaultFor(standard.Default(), 1)
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, err := NewFromConfig(Default(2), []cpu.Source{&workload.Slice{}}); err == nil {
+	if _, err := New(standard.Default(), WithConfig(DefaultFor(standard.Default(), 2)), WithSources([]cpu.Source{&workload.Slice{}}...)); err == nil {
 		t.Error("source count mismatch accepted")
+	}
+	// Every controller, boundary and core is an event-wheel actor: the
+	// largest machine that fits validates, one more core is rejected
+	// with a descriptive error instead of a scheduler panic.
+	for _, tc := range []struct {
+		channels, sub, cores int
+		fits                 bool
+	}{{1, 1, 60, true}, {1, 1, 61, false}, {8, 2, 45, true}, {8, 2, 46, false}} {
+		cfg := DefaultFor(standard.Default(), tc.cores)
+		cfg.Channels, cfg.SubChannels = tc.channels, tc.sub
+		err := cfg.Validate()
+		if tc.fits && err != nil {
+			t.Errorf("%dx%d devices, %d cores: %v", tc.channels, tc.sub, tc.cores, err)
+		}
+		if !tc.fits && (err == nil || !strings.Contains(err.Error(), "event-wheel actors")) {
+			t.Errorf("%dx%d devices, %d cores: want an event-wheel capacity error, got %v", tc.channels, tc.sub, tc.cores, err)
+		}
 	}
 }
 
 func TestFiniteWorkloadRunsToCompletion(t *testing.T) {
-	cfg := Default(1)
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.MaxMemCycles = 0 // run until done
 	wc := workload.DefaultSequential()
 	wc.Ops = 2000
-	sys, err := NewFromConfig(cfg, []cpu.Source{workload.MustSynthetic(wc)})
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources([]cpu.Source{workload.MustSynthetic(wc)}...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +261,11 @@ func TestPaperShapeFig6(t *testing.T) {
 }
 
 func TestThroughTimeSamplesCoverRun(t *testing.T) {
-	cfg := Default(1)
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.MaxMemCycles = 100_000
 	cfg.SampleInterval = 20_000
 	wc := workload.DefaultSequential()
-	sys, err := NewFromConfig(cfg, []cpu.Source{workload.MustSynthetic(wc)})
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources([]cpu.Source{workload.MustSynthetic(wc)}...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +289,10 @@ func TestThroughTimeSamplesCoverRun(t *testing.T) {
 }
 
 func TestWarmupExcludedFromStacks(t *testing.T) {
-	cfg := Default(1)
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.MaxMemCycles = 60_000
 	cfg.WarmupMemCycles = 20_000
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 1, 0))
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(SyntheticSources(workload.Sequential, 1, 0)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +306,10 @@ func TestWarmupExcludedFromStacks(t *testing.T) {
 }
 
 func TestPrewarmFillsCaches(t *testing.T) {
-	cfg := Default(1)
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.MaxMemCycles = 50_000
 	cfg.PrewarmOps = 1 << 19
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 1, 0.5))
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(SyntheticSources(workload.Sequential, 1, 0.5)...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestEveryStandardRunsVerified(t *testing.T) {
 			if !cfg.Verify {
 				t.Fatal("DefaultFor disabled the verifier")
 			}
-			sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 2, 0.2))
+			sys, err := New(standard.Default(), WithConfig(cfg), WithSources(SyntheticSources(workload.Sequential, 2, 0.2)...))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestRegistryDDR4MatchesSeedConfig(t *testing.T) {
 			Verify:       true,
 		}
 	}
-	if got, want := Default(2), seedDefault(2); !reflect.DeepEqual(got, want) {
+	if got, want := DefaultFor(standard.Default(), 2), seedDefault(2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("registry default config diverged:\n got %+v\nwant %+v", got, want)
 	}
 
@@ -97,13 +97,13 @@ func TestRegistryDDR4MatchesSeedConfig(t *testing.T) {
 		cfg.MaxMemCycles = 40_000
 		cfg.SampleInterval = 10_000
 		cfg.PrewarmOps = 1 << 18
-		sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 2, 0.2))
+		sys, err := New(standard.Default(), WithConfig(cfg), WithSources(SyntheticSources(workload.Sequential, 2, 0.2)...))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sys.Run()
 	}
-	reg := run(Default(2))
+	reg := run(DefaultFor(standard.Default(), 2))
 	seed := run(seedDefault(2))
 
 	// Field-by-field: every reported quantity must match exactly.
@@ -161,7 +161,7 @@ func TestHBMPseudoChannels(t *testing.T) {
 	if cfg.SubChannels != 2 {
 		t.Fatalf("SubChannels = %d, want 2", cfg.SubChannels)
 	}
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 4, 0))
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(SyntheticSources(workload.Sequential, 4, 0)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestHBMPseudoChannels(t *testing.T) {
 }
 
 func TestSubChannelValidation(t *testing.T) {
-	cfg := Default(1)
+	cfg := DefaultFor(standard.Default(), 1)
 	cfg.SubChannels = -1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative sub-channels accepted")

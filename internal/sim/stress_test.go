@@ -5,6 +5,7 @@ import (
 
 	"dramstacks/internal/cpu"
 	"dramstacks/internal/cyclestack"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/stacks"
 	"dramstacks/internal/workload"
 )
@@ -34,13 +35,13 @@ func TestBankHammerStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short")
 	}
-	cfg := Default(4)
+	cfg := DefaultFor(standard.Default(), 4)
 	cfg.MaxMemCycles = 150_000
 	var sources []cpu.Source
 	for i := 0; i < 4; i++ {
 		sources = append(sources, &bankHammer{lcg: uint64(i + 1)})
 	}
-	sys, err := NewFromConfig(cfg, sources)
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(sources...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +75,14 @@ func TestBankHammerStress(t *testing.T) {
 // TestTinyQueuesNoDeadlock: pathologically small controller queues with
 // heavy multi-core traffic must only throttle, never wedge.
 func TestTinyQueuesNoDeadlock(t *testing.T) {
-	cfg := Default(4)
+	cfg := DefaultFor(standard.Default(), 4)
 	cfg.Ctrl.ReadQueueCap = 4
 	cfg.Ctrl.WriteQueueCap = 4
 	cfg.Ctrl.WriteHi = 3
 	cfg.Ctrl.WriteLo = 1
 	cfg.MaxMemCycles = 80_000
 	cfg.PrewarmOps = 1 << 19 // dirty working set: evictions write back
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Random, 4, 0.3))
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(SyntheticSources(workload.Random, 4, 0.3)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +102,12 @@ func TestTinyQueuesNoDeadlock(t *testing.T) {
 // TestSingleLineHammer: every core loads the same line over and over —
 // after the first fill everything hits in L1 and DRAM goes idle.
 func TestSingleLineHammer(t *testing.T) {
-	cfg := Default(2)
+	cfg := DefaultFor(standard.Default(), 2)
 	cfg.MaxMemCycles = 30_000
 	src := func() cpu.Source {
 		return &workload.Slice{Instrs: repeatLoad(0x1000, 5000)}
 	}
-	sys, err := NewFromConfig(cfg, []cpu.Source{src(), src()})
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources([]cpu.Source{src(), src()}...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +135,10 @@ func TestStreamTriadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-system test skipped in -short")
 	}
-	cfg := Default(4)
+	cfg := DefaultFor(standard.Default(), 4)
 	cfg.MaxMemCycles = 150_000
 	cfg.PrewarmOps = 1 << 19
-	sys, err := NewFromConfig(cfg, workload.StreamSources(workload.StreamTriad, 4))
+	sys, err := New(standard.Default(), WithConfig(cfg), WithSources(workload.StreamSources(workload.StreamTriad, 4)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +175,9 @@ func TestInterferenceShowsInVictimCycleStack(t *testing.T) {
 		return workload.MustSynthetic(wc)
 	}
 	queueShare := func(sources []cpu.Source) float64 {
-		cfg := Default(len(sources))
+		cfg := DefaultFor(standard.Default(), len(sources))
 		cfg.MaxMemCycles = 150_000
-		sys, err := NewFromConfig(cfg, sources)
+		sys, err := New(standard.Default(), WithConfig(cfg), WithSources(sources...))
 		if err != nil {
 			t.Fatal(err)
 		}
