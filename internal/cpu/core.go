@@ -104,12 +104,22 @@ type BatchSource interface {
 // WarmKey returns a canonical description of the stream: two sources
 // with equal keys hand out identical item sequences, so a machine
 // warmed from one can be reproduced for the other by restoring the
-// warm caches and advancing the source by the number of items warming
-// consumed. It reports false once the source has handed out any item,
-// because a consumed source no longer starts at the stream's head.
+// warm caches and the source's post-warm state. It reports false once
+// the source has handed out any item, because a consumed source no
+// longer starts at the stream's head.
+//
+// CloneWarm returns an independent copy of the source's full state —
+// generator and stream position included — and the bytes that copy
+// retains. RestoreWarm overwrites the receiver's state with a copy of
+// from, a CloneWarm result of a source with the same WarmKey; from is
+// only read, so one clone can be restored any number of times, and the
+// receiver then hands out exactly the items the cloned source would
+// have handed out next.
 type WarmKeyer interface {
 	BatchSource
 	WarmKey() (string, bool)
+	CloneWarm() (state WarmKeyer, bytes int64)
+	RestoreWarm(from WarmKeyer)
 }
 
 // batchLen is the core's pull-buffer size: big enough to amortize the
@@ -284,8 +294,18 @@ func (c *Core) wake() {
 // Stats returns the core's counters.
 func (c *Core) Stats() Stats { return c.stats }
 
-// Stack returns the core's cycle stack so far.
-func (c *Core) Stack() cyclestack.Stack { return c.acct.Stack() }
+// Stack returns the core's cycle stack so far. The stall charged to a
+// DRAM load still at the ROB head is counted in the total but split
+// only when the load retires, so it is reported as Deferred.
+func (c *Core) Stack() cyclestack.Stack {
+	s := c.acct.Stack()
+	if c.items > 0 && c.rob[c.head].kind == KindLoad {
+		if tk := c.rob[c.head].tk; tk.level == 0 {
+			s.Deferred = tk.stall
+		}
+	}
+	return s
+}
 
 // Accountant exposes the cycle-stack accountant (for through-time
 // sampling by the system).

@@ -41,6 +41,38 @@ func TestDeferredDramSplit(t *testing.T) {
 	}
 }
 
+// TestDeferredCountsTowardSum: cycles counted in the total but not yet
+// split (Deferred) close the sum, also across Sub and Add.
+func TestDeferredCountsTowardSum(t *testing.T) {
+	a := NewAccountant()
+	a.AddCycle(Base)
+	a.AddTotal(4)
+	s := a.Stack()
+	if err := s.CheckSum(); err == nil {
+		t.Error("stack with 4 unsplit cycles accepted without Deferred")
+	}
+	s.Deferred = 4
+	if err := s.CheckSum(); err != nil {
+		t.Fatal(err)
+	}
+	a.Add(DramLatency, 4)
+	a.AddCycle(Idle)
+	later := a.Stack()
+	// The split lands in the interval: its components hold 5 cycles for
+	// a total of 1, and the deferred delta of -4 closes the sum.
+	d := later.Sub(s)
+	if d.Deferred != -4 {
+		t.Errorf("interval deferred = %d, want -4", d.Deferred)
+	}
+	if err := d.CheckSum(); err != nil {
+		t.Error(err)
+	}
+	s.Add(d)
+	if s != later {
+		t.Errorf("s + (later - s) = %+v, want %+v", s, later)
+	}
+}
+
 func TestFractions(t *testing.T) {
 	a := NewAccountant()
 	for i := 0; i < 3; i++ {

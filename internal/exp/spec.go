@@ -459,10 +459,35 @@ func RunSpec(ctx context.Context, spec Spec, opt RunOptions) (*sim.Result, error
 		return nil, err
 	}
 	res := sys.RunContext(ctx)
-	if len(res.Violations) > 0 {
-		return nil, fmt.Errorf("exp: DRAM timing violation: %v", res.Violations[0])
+	if err := checkResult(res); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// checkResult fails a result that breaks an invariant every run must
+// keep, so it is never served: a DRAM timing violation, or a stack that
+// does not conserve cycles (the paper's rule that the components sum to
+// the total) — the aggregate bandwidth stack, any channel's, or any
+// core's cycle stack.
+func checkResult(res *sim.Result) error {
+	if len(res.Violations) > 0 {
+		return fmt.Errorf("exp: DRAM timing violation: %v", res.Violations[0])
+	}
+	if err := res.BW.CheckSum(); err != nil {
+		return fmt.Errorf("exp: bandwidth stack not conserved: %w", err)
+	}
+	for i, bw := range res.PerChannelBW {
+		if err := bw.CheckSum(); err != nil {
+			return fmt.Errorf("exp: channel %d bandwidth stack not conserved: %w", i, err)
+		}
+	}
+	for i, cs := range res.CycleStacks {
+		if err := cs.CheckSum(); err != nil {
+			return fmt.Errorf("exp: core %d cycle stack not conserved: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // tenantSources builds the QoS tenant streams ("latcrit" / "bwhog") for

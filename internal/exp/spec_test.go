@@ -3,8 +3,12 @@ package exp
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
+
+	"dramstacks/internal/dram"
+	"dramstacks/internal/sim"
 )
 
 func mustHash(t *testing.T, s Spec) string {
@@ -161,6 +165,47 @@ func TestRunSpecMix(t *testing.T) {
 	}
 	if res.MemCycles != 10_000 {
 		t.Errorf("MemCycles = %d, want 10000", res.MemCycles)
+	}
+}
+
+// TestCheckResultConservation: a result whose aggregate, per-channel or
+// per-core stack does not sum to its total — or that carries a timing
+// violation — fails the check RunSpec applies. Real runs pass it, also
+// when a core ends behind a long in-flight DRAM load whose stall is
+// counted but not yet split (the regulated bwhog tenant).
+func TestCheckResultConservation(t *testing.T) {
+	for _, spec := range []Spec{
+		{Workload: "random", Budget: 10_000},
+		{Workload: "copy", Cores: 2, Budget: 10_000},
+		{Workload: "latcrit,bwhog", Cores: 2, QoS: "win=2048,cap=1:16,rt=0", Budget: 10_000},
+		{Workload: "bfs", Cores: 2, Scale: 10, Budget: 10_000},
+	} {
+		if _, err := RunSpec(context.Background(), spec, RunOptions{}); err != nil {
+			t.Errorf("%s: %v", spec.Label(), err)
+		}
+	}
+	res, err := RunSpec(context.Background(), Spec{Workload: "seq,random", Cores: 2, Channels: 2, Budget: 10_000}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(r *sim.Result)
+		want    string
+	}{
+		{"aggregate", func(r *sim.Result) { r.BW.Cycles[0] += 100 }, "bandwidth stack not conserved"},
+		{"negative", func(r *sim.Result) { r.BW.Cycles[0] -= 1e6; r.BW.Cycles[1] += 1e6 }, "bandwidth stack not conserved"},
+		{"channel", func(r *sim.Result) { r.PerChannelBW[1].TotalCycles++ }, "channel 1 bandwidth stack not conserved"},
+		{"core", func(r *sim.Result) { r.CycleStacks[1].Cycles[0] += 1000 }, "core 1 cycle stack not conserved"},
+		{"timing", func(r *sim.Result) { r.Violations = []dram.Violation{{Cycle: 7, Rule: "tRCD"}} }, "DRAM timing violation"},
+	} {
+		bad := *res
+		bad.PerChannelBW = slices.Clone(res.PerChannelBW)
+		bad.CycleStacks = slices.Clone(res.CycleStacks)
+		tc.corrupt(&bad)
+		if err := checkResult(&bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: checkResult = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 

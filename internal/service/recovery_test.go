@@ -2,12 +2,19 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"dramstacks/internal/exp"
+	"dramstacks/internal/sim"
 )
 
 // startDurable starts a server over a data dir WITHOUT registering
@@ -244,5 +251,73 @@ func TestNoDataDirStaysInMemory(t *testing.T) {
 	waitState(t, ts, sub.ID, StateDone)
 	if n := s.Metrics().JobsRecovered.Load(); n != 0 {
 		t.Errorf("JobsRecovered = %d without a data dir", n)
+	}
+}
+
+// lockedBuffer is a log sink the workers and the test can share.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestRunJobRecoversPanic: a job whose simulation panics fails alone —
+// its error names the panic, the stack is logged, JobsFailed counts it
+// and the failure is journaled — while the single worker goes on to
+// run the next job.
+func TestRunJobRecoversPanic(t *testing.T) {
+	const panicCycles = 12345
+	t.Cleanup(func() { runSpec = exp.RunSpec })
+	runSpec = func(ctx context.Context, spec exp.Spec, opt exp.RunOptions) (*sim.Result, error) {
+		if spec.Budget == panicCycles {
+			panic("injected simulator fault")
+		}
+		return exp.RunSpec(ctx, spec, opt)
+	}
+	dir := t.TempDir()
+	var logs lockedBuffer
+	s, err := New(Config{Workers: 1, DataDir: dir, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+
+	bad, code := postJob(t, ts, fmt.Sprintf(`{"workload":"seq,random","cores":1,"cycles":%d}`, panicCycles))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	st := waitState(t, ts, bad.ID, StateFailed)
+	if !strings.Contains(st.Error, "panicked: injected simulator fault") {
+		t.Errorf("error = %q, want it to name the panic", st.Error)
+	}
+	if n := s.Metrics().JobsFailed.Load(); n != 1 {
+		t.Errorf("JobsFailed = %d, want 1", n)
+	}
+	if l := logs.String(); !strings.Contains(l, "job panicked") || !strings.Contains(l, "TestRunJobRecoversPanic") {
+		t.Errorf("log lacks the panic and its stack:\n%s", l)
+	}
+
+	good, code := postJob(t, ts, fastSpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	waitState(t, ts, good.ID, StateDone)
+	shutdown(t, s, ts)
+
+	s2, ts2 := startDurable(t, dir, 1)
+	defer shutdown(t, s2, ts2)
+	if st := getStatus(t, ts2, bad.ID); st.State != StateFailed || st.Error == "" {
+		t.Errorf("recovered panicked job = %s %q, want failed with its error", st.State, st.Error)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -527,10 +528,15 @@ func (s *Server) runJob(job *Job) {
 	}()
 
 	start := time.Now()
-	res, err := exp.RunSpec(job.ctx, job.Spec, exp.RunOptions{
-		OnSample: s.sampleHook(job),
+	res, err := guard(s, job, "simulation", func() (*sim.Result, error) {
+		return runSpec(job.ctx, job.Spec, exp.RunOptions{OnSample: s.sampleHook(job)})
 	})
 	wall := time.Since(start)
+	encode := func() ([]byte, error) {
+		return guard(s, job, "result encoding", func() ([]byte, error) {
+			return exp.ResultJSON(job.Spec, res)
+		})
+	}
 
 	switch {
 	case err != nil:
@@ -540,7 +546,7 @@ func (s *Server) runJob(job *Job) {
 		s.metrics.ObserveSimWall(wall.Seconds())
 		s.log.Error("job failed", "job", job.ID, "err", err)
 	case res.Cancelled:
-		result, jerr := exp.ResultJSON(job.Spec, res)
+		result, jerr := encode()
 		if jerr != nil {
 			result = nil
 		}
@@ -561,7 +567,7 @@ func (s *Server) runJob(job *Job) {
 		s.metrics.ObserveSimWall(wall.Seconds())
 		s.log.Info("job cancelled", "job", job.ID, "mem_cycles", res.MemCycles)
 	default:
-		result, jerr := exp.ResultJSON(job.Spec, res)
+		result, jerr := encode()
 		if jerr != nil {
 			job.finish(StateFailed, nil, jerr.Error(), wall, res.MemCycles)
 			s.persistResult(job)
@@ -577,6 +583,24 @@ func (s *Server) runJob(job *Job) {
 		s.log.Info("job done", "job", job.ID,
 			"mem_cycles", res.MemCycles, "sim_wall_ms", wall.Milliseconds())
 	}
+}
+
+// runSpec runs a job's spec; tests replace it to reach runJob's panic
+// recovery.
+var runSpec = exp.RunSpec
+
+// guard calls f for job, turning a panic into an error that names it
+// and logging the stack: a simulator or encoder bug that one spec
+// reaches fails that job instead of killing the daemon.
+func guard[T any](s *Server, job *Job, what string, f func() (T, error)) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.log.Error("job panicked", "job", job.ID, "in", what, "panic", p, "stack", string(debug.Stack()))
+			var zero T
+			v, err = zero, fmt.Errorf("service: %s panicked: %v", what, p)
+		}
+	}()
+	return f()
 }
 
 // handleStandards lists the registered DRAM standards with their derived

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -24,23 +23,25 @@ const prewarmMemoBytes = 4 << 20
 // sampling, can change its outcome. Machines that share those inputs —
 // every point of a DRAM-side sweep, every service job on the same
 // workload — therefore share one warm state. The memo keeps that state
-// per process as a compact cache.Hierarchy snapshot plus the number of
-// items each core's source handed out, and a later machine restores
-// the snapshot and advances its fresh sources by those counts instead
-// of warming again. Both paths leave the machine byte-identical.
+// per process as a compact cache.Hierarchy snapshot plus a clone of
+// each core's source as warming left it (cpu.WarmKeyer.CloneWarm). A
+// later machine restores the snapshot and copies the clones into its
+// fresh sources instead of warming again: no item is regenerated. Both
+// paths leave the machine byte-identical.
 //
 // Only sources implementing cpu.WarmKeyer take part; a machine with any
 // other source (traces, test slices, GAP barrier sources) warms cold.
 
 // warmState is one memoized warm-up.
 type warmState struct {
-	key      string
-	snap     []byte  // cache.Hierarchy.Snapshot after warming
-	consumed []int64 // items each core's source handed out while warming
+	key        string
+	snap       []byte          // cache.Hierarchy.Snapshot after warming
+	sources    []cpu.WarmKeyer // each core's source after warming (CloneWarm)
+	sourceSize int64           // bytes the source clones retain
 }
 
 func (w *warmState) size() int64 {
-	return int64(len(w.key) + len(w.snap) + 8*len(w.consumed))
+	return int64(len(w.key)+len(w.snap)) + w.sourceSize
 }
 
 // warmMemo is a byte-bounded LRU of warm states, shared by every System
@@ -109,7 +110,7 @@ func ResetPrewarmMemo() {
 // warmKey returns the memo key of warming sources under cfg: a hash of
 // the hierarchy configuration, the prewarm quota and every source's
 // WarmKey in core order. It reports false when some source cannot be
-// replayed — it has no key, has already been consumed, or is shared by
+// restored — it has no key, has already been consumed, or is shared by
 // two cores (their interleaved draws would not match two fresh sources
 // with the same key).
 func warmKey(cfg Config, sources []cpu.Source) (string, bool) {
@@ -145,54 +146,26 @@ func (s *System) warmStart(sources []cpu.Source) error {
 	}
 	if w := prewarmMemo.get(key); w != nil {
 		prewarmMemo.hits.Add(1)
-		return s.replayWarm(w, sources)
+		if err := s.hier.Restore(w.snap); err != nil {
+			return fmt.Errorf("sim: restoring memoized prewarm: %w", err)
+		}
+		for i, src := range sources {
+			src.(cpu.WarmKeyer).RestoreWarm(w.sources[i])
+		}
+		return nil
 	}
 	prewarmMemo.misses.Add(1)
-	consumed := s.prewarm(sources)
-	if snap, err := s.hier.Snapshot(); err == nil {
-		prewarmMemo.put(&warmState{key: key, snap: snap, consumed: consumed})
-	}
-	return nil
-}
-
-// replayWarm restores a memoized warm state: the snapshot is decoded
-// straight into the new hierarchy's slot arrays while each source is
-// advanced by the items warming took from it — concurrently when the
-// host has more than one processor, since the sources and the
-// hierarchy are disjoint state.
-func (s *System) replayWarm(w *warmState, sources []cpu.Source) error {
-	var wg sync.WaitGroup
-	parallel := runtime.GOMAXPROCS(0) > 1
-	for i, src := range sources {
-		bs, n := src.(cpu.BatchSource), w.consumed[i]
-		if !parallel {
-			skipItems(bs, n)
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			skipItems(bs, n)
-		}()
-	}
-	err := s.hier.Restore(w.snap)
-	wg.Wait()
+	s.prewarm(sources)
+	snap, err := s.hier.Snapshot()
 	if err != nil {
-		return fmt.Errorf("sim: restoring memoized prewarm: %w", err)
+		return nil // the machine is warm; its state just is not memoized
 	}
+	w := &warmState{key: key, snap: snap, sources: make([]cpu.WarmKeyer, len(sources))}
+	for i, src := range sources {
+		var n int64
+		w.sources[i], n = src.(cpu.WarmKeyer).CloneWarm()
+		w.sourceSize += n
+	}
+	prewarmMemo.put(w)
 	return nil
-}
-
-// skipItems consumes exactly n items of src (fewer if the stream ends),
-// the last batch trimmed to the remainder so no item past n is drawn.
-func skipItems(src cpu.BatchSource, n int64) {
-	var buf [warmBatch]cpu.Instr
-	for n > 0 {
-		k := min(n, int64(len(buf)))
-		got := src.NextBatch(buf[:k])
-		if got == 0 {
-			return
-		}
-		n -= int64(got)
-	}
 }

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"dramstacks/internal/cpu"
 	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/exp"
 	"dramstacks/internal/sim"
 	"dramstacks/internal/stacks"
+	"dramstacks/internal/workload"
 )
 
 // memoOps is the prewarm quota of the cold-vs-memo suite: far below the
@@ -181,5 +184,87 @@ func TestPrewarmMemoConcurrentSameKey(t *testing.T) {
 		if d := ref.diff(r); d != "" {
 			t.Fatalf("run %d: %s", i, d)
 		}
+	}
+}
+
+type memoSourceFamily struct {
+	name  string
+	build func() []cpu.Source
+}
+
+// memoSourceFamilies are source sets whose post-warm state the memo
+// must reproduce: the spec families' synthetic patterns with and
+// without stores, STREAM kernels and QoS tenants, plus a branchy
+// synthetic stream no spec builds (BranchEvery > 0 draws mispredicts
+// from the same generator as the stores and addresses).
+func memoSourceFamilies() []memoSourceFamily {
+	var out []memoSourceFamily
+	for _, w := range []string{"seq", "random", "strided", "copy", "triad", "latcrit", "bwhog"} {
+		for _, st := range []float64{0, 0.5} {
+			spec := exp.Spec{Workload: w, Cores: 2, Stores: st}.Normalized()
+			out = append(out, memoSourceFamily{fmt.Sprintf("%s/stores%g", w, st), func() []cpu.Source {
+				srcs, err := spec.Sources()
+				if err != nil {
+					panic(err)
+				}
+				return srcs
+			}})
+		}
+	}
+	for _, p := range []workload.Pattern{workload.Sequential, workload.Random} {
+		out = append(out, memoSourceFamily{"branchy/" + p.String(), func() []cpu.Source {
+			var srcs []cpu.Source
+			for c := 0; c < 2; c++ {
+				srcs = append(srcs, workload.MustSynthetic(workload.SyntheticConfig{
+					Pattern: p, StoreFrac: 0.25, WorkPerOp: 3,
+					FootprintBytes: 1 << 24, StrideBytes: 64, Chains: 2,
+					BranchEvery: 5, MispredictRate: 0.3,
+					BaseAddr: uint64(c) << 30, Seed: int64(c + 11),
+				}))
+			}
+			return srcs
+		}})
+	}
+	return out
+}
+
+// TestPrewarmMemoSourceState: after a memo hit, each core's source
+// must hand out exactly the items a cold-warmed source hands out next.
+// The same key is hit three times, each hit's sources drained in
+// between, so a run can never reach back into the memo's stored state.
+func TestPrewarmMemoSourceState(t *testing.T) {
+	const next = 10_000
+	std := standard.Default()
+	warm := func(t *testing.T, srcs []cpu.Source) [][]cpu.Instr {
+		t.Helper()
+		cfg := sim.DefaultFor(std, len(srcs))
+		cfg.PrewarmOps = memoOps
+		if _, err := sim.New(std, sim.WithConfig(cfg), sim.WithSources(srcs...)); err != nil {
+			t.Fatal(err)
+		}
+		items := make([][]cpu.Instr, len(srcs))
+		for i, src := range srcs {
+			buf := make([]cpu.Instr, next)
+			items[i] = buf[:workload.FillBatch(src, buf)]
+		}
+		return items
+	}
+	for _, fam := range memoSourceFamilies() {
+		t.Run(fam.name, func(t *testing.T) {
+			sim.ResetPrewarmMemo()
+			hits0, misses0, _ := sim.PrewarmMemoStats()
+			cold := warm(t, fam.build())
+			for rep := 1; rep <= 3; rep++ {
+				hit := warm(t, fam.build())
+				for i := range cold {
+					if !slices.Equal(hit[i], cold[i]) {
+						t.Fatalf("hit %d: core %d's next %d items differ from the cold-warmed source's", rep, i, next)
+					}
+				}
+			}
+			if hits, misses, _ := sim.PrewarmMemoStats(); hits != hits0+3 || misses != misses0+1 {
+				t.Fatalf("%d hits, %d misses; want 3 and 1", hits-hits0, misses-misses0)
+			}
+		})
 	}
 }

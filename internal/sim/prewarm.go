@@ -20,22 +20,17 @@ const warmBatch = 64
 // quota, so every generated item is consumed before the quota check can
 // retire the source.
 type warmFeed struct {
-	src      cpu.Source
-	bs       cpu.BatchSource // nil: no batch fast path, use src.Next
-	items    []cpu.Instr
-	pos, n   int
-	warmed   int64 // memory operations warmed so far
-	quota    int64 // PrewarmOps
-	consumed int64 // items taken from src (the memo replays this count)
+	src    cpu.Source
+	bs     cpu.BatchSource // nil: no batch fast path, use src.Next
+	items  []cpu.Instr
+	pos, n int
+	warmed int64 // memory operations warmed so far
+	quota  int64 // PrewarmOps
 }
 
 func (f *warmFeed) next() (cpu.Instr, bool) {
 	if f.bs == nil || f.pos >= f.n && f.warmed+warmBatch > f.quota {
-		ins, ok := f.src.Next()
-		if ok {
-			f.consumed++
-		}
-		return ins, ok
+		return f.src.Next()
 	}
 	if f.pos >= f.n {
 		f.n = f.bs.NextBatch(f.items)
@@ -43,7 +38,6 @@ func (f *warmFeed) next() (cpu.Instr, bool) {
 		if f.n == 0 {
 			return cpu.Instr{}, false
 		}
-		f.consumed += int64(f.n)
 	}
 	ins := f.items[f.pos]
 	f.pos++
@@ -53,9 +47,8 @@ func (f *warmFeed) next() (cpu.Instr, bool) {
 // prewarm consumes the head of each stream functionally so the caches
 // start in steady state; the cores continue from where warming stopped.
 // Sources are drained round-robin so barrier-synchronized workloads
-// (package gap) make progress; stall items are skipped. It returns how
-// many items each source handed out.
-func (s *System) prewarm(sources []cpu.Source) []int64 {
+// (package gap) make progress; stall items are skipped.
+func (s *System) prewarm(sources []cpu.Source) {
 	feeds := make([]warmFeed, len(sources))
 	allBatch := len(sources) > 0
 	for i, src := range sources {
@@ -78,7 +71,7 @@ func (s *System) prewarm(sources []cpu.Source) []int64 {
 	// the serial loop and its zero recording overhead.
 	if allBatch && len(sources) > 1 && runtime.GOMAXPROCS(0) > 1 {
 		s.prewarmParallel(feeds)
-		return consumedBy(feeds)
+		return
 	}
 	exhausted := make([]bool, len(feeds))
 	active := len(feeds)
@@ -120,16 +113,6 @@ func (s *System) prewarm(sources []cpu.Source) []int64 {
 			break
 		}
 	}
-	return consumedBy(feeds)
-}
-
-// consumedBy returns how many items each feed took from its source.
-func consumedBy(feeds []warmFeed) []int64 {
-	out := make([]int64, len(feeds))
-	for i := range feeds {
-		out[i] = feeds[i].consumed
-	}
-	return out
 }
 
 // warmChunk is the number of items each core advances per parallel

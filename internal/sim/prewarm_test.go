@@ -110,3 +110,58 @@ func TestPrewarmQuotaExactWithBatching(t *testing.T) {
 		_ = sys
 	}
 }
+
+// TestPrewarmMemoSize pins the memo's byte accounting: a warm state
+// counts its key, its cache snapshot and every stored source clone, so
+// the cap and the reported bytes track what the memo really retains.
+// The per-source sizes are those of a 64-bit build: a Synthetic is its
+// 607-word generator register plus its configuration and counters
+// (5032 bytes) and 8 bytes per random-pattern chain; a Stream is 88.
+func TestPrewarmMemoSize(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		sources  int64
+	}{
+		{"random", 2 * (5032 + 2*8)},
+		{"seq", 2 * 5032},
+		{"copy", 2 * 88},
+	} {
+		ResetPrewarmMemo()
+		std := standard.Default()
+		cfg := DefaultFor(std, 2)
+		cfg.PrewarmOps = 1 << 10
+		var srcs []cpu.Source
+		for c := 0; c < 2; c++ {
+			base := uint64(c) << 30
+			switch tc.workload {
+			case "random":
+				wc := workload.DefaultRandom()
+				wc.BaseAddr = base
+				srcs = append(srcs, workload.MustSynthetic(wc))
+			case "seq":
+				wc := workload.DefaultSequential()
+				wc.BaseAddr = base
+				srcs = append(srcs, workload.MustSynthetic(wc))
+			default:
+				sc := workload.DefaultStream(workload.StreamCopy)
+				sc.BaseAddr = base
+				srcs = append(srcs, workload.MustStream(sc))
+			}
+		}
+		if _, err := New(std, WithConfig(cfg), WithSources(srcs...)); err != nil {
+			t.Fatal(err)
+		}
+		if len(prewarmMemo.byKey) != 1 {
+			t.Fatalf("%s: memo holds %d states, want 1", tc.workload, len(prewarmMemo.byKey))
+		}
+		w := prewarmMemo.lru.Front().Value.(*warmState)
+		if w.sourceSize != tc.sources {
+			t.Errorf("%s: source states count %d bytes, want %d", tc.workload, w.sourceSize, tc.sources)
+		}
+		want := int64(len(w.key)+len(w.snap)) + tc.sources
+		if _, _, bytes := PrewarmMemoStats(); w.size() != want || bytes != want {
+			t.Errorf("%s: state size %d, memo bytes %d; want %d", tc.workload, w.size(), bytes, want)
+		}
+	}
+	ResetPrewarmMemo()
+}

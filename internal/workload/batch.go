@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"dramstacks/internal/cpu"
 )
@@ -51,6 +53,31 @@ func (s *Stream) WarmKey() (string, bool) {
 	return fmt.Sprintf("%#v", s.cfg), true
 }
 
+// CloneWarm implements cpu.WarmKeyer: the generator register is a value
+// field, so only the per-chain load history needs a deep copy.
+func (s *Synthetic) CloneWarm() (cpu.WarmKeyer, int64) {
+	c := *s
+	c.loadsSince = slices.Clone(s.loadsSince)
+	return &c, int64(unsafe.Sizeof(c)) + 8*int64(len(c.loadsSince))
+}
+
+// RestoreWarm implements cpu.WarmKeyer.
+func (s *Synthetic) RestoreWarm(from cpu.WarmKeyer) {
+	f := from.(*Synthetic)
+	loads := s.loadsSince
+	*s = *f
+	s.loadsSince = append(loads[:0], f.loadsSince...)
+}
+
+// CloneWarm implements cpu.WarmKeyer; a Stream is plain data.
+func (s *Stream) CloneWarm() (cpu.WarmKeyer, int64) {
+	c := *s
+	return &c, int64(unsafe.Sizeof(c))
+}
+
+// RestoreWarm implements cpu.WarmKeyer.
+func (s *Stream) RestoreWarm(from cpu.WarmKeyer) { *s = *from.(*Stream) }
+
 // NextBatch implements cpu.BatchSource natively: it produces exactly
 // the sequence repeated Next calls would (same RNG draw order, same
 // chain bookkeeping), but hoists the hot generator state into locals
@@ -59,7 +86,7 @@ func (s *Stream) WarmKey() (string, bool) {
 func (s *Synthetic) NextBatch(buf []cpu.Instr) int {
 	var (
 		cfg       = &s.cfg
-		rng       = s.rng
+		rng       = &s.rng
 		sinceBr   = s.sinceBr
 		emitted   = s.emitted
 		seqOffset = s.seqOffset

@@ -5,7 +5,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dramstacks/internal/cpu"
 )
@@ -154,11 +153,17 @@ func DefaultRandom() SyntheticConfig {
 	}
 }
 
-// Synthetic generates the stream; it implements cpu.Source.
+// Synthetic generates the stream; it implements cpu.Source. Its random
+// draws come from an owned copy of Go 1's math/rand generator (lfg),
+// seeded from SyntheticConfig.Seed to emit exactly the values
+// rand.New(rand.NewSource(Seed)) would: newLFG reads the seeded
+// register back out of a real math/rand source, so the stdlib stays
+// the reference for the stream. Every field is plain data, so
+// the whole generator state — stream position included — can be
+// copied (CloneWarm, RestoreWarm).
 type Synthetic struct {
 	cfg SyntheticConfig
-	//dramvet:allow nowallclock(seeded explicitly from SyntheticConfig.Seed; the stream is a pure function of the spec)
-	rng *rand.Rand
+	rng lfg
 
 	// drawStore records whether the per-op store draw must consume the
 	// RNG. With StoreFrac 0 the draw can only matter by advancing the
@@ -186,7 +191,7 @@ func NewSynthetic(cfg SyntheticConfig) (*Synthetic, error) {
 	if cfg.StrideBytes == 0 {
 		cfg.StrideBytes = 64
 	}
-	s := &Synthetic{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	s := &Synthetic{cfg: cfg, rng: newLFG(cfg.Seed)}
 	s.drawStore = cfg.StoreFrac > 0 || cfg.Pattern == Random || cfg.BranchEvery > 0
 	if cfg.Pattern == Random {
 		s.loadsSince = make([]int64, cfg.Chains)
